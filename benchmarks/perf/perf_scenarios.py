@@ -11,8 +11,11 @@ timed code paths are the production ones:
 * **matrix** — the placement performance matrix over an ``R``-times
   replicated catalog (R x 4 BE apps, R x 4 LC servers, 9 load levels);
 * **cluster** — a fleet of N servers cycling the four paper server
-  plans, swept over load levels (the Fig 12/13 shape at fleet scale);
-* **pipeline** — the seeded policy sweep behind the evaluation.
+  plans, swept over load levels (the Fig 12/13 shape at fleet scale).
+
+Callers pass ``engine=`` to :func:`run_fleet` explicitly, so a serial
+arm keeps measuring the per-object oracle its committed numbers were
+taken on even if the cluster default changes.
 """
 
 from __future__ import annotations
@@ -82,8 +85,14 @@ def fleet_plans(cat: FittedCatalog, n_servers: int) -> List[ServerPlan]:
     return [base[i % len(base)] for i in range(n_servers)]
 
 
-def run_fleet(cat: FittedCatalog, plans: Sequence[ServerPlan], **kwargs):
-    """One fleet sweep over :data:`SWEEP_LEVELS` (kwargs -> engine knobs)."""
+def run_fleet(
+    cat: FittedCatalog, plans: Sequence[ServerPlan], engine: str, **kwargs
+):
+    """One fleet sweep over :data:`SWEEP_LEVELS` on ``engine``.
+
+    ``kwargs`` carry the other ``run_cluster`` knobs (dedupe, guard,
+    budget).
+    """
     from repro.sim.cluster import run_cluster
 
     return run_cluster(
@@ -92,5 +101,6 @@ def run_fleet(cat: FittedCatalog, plans: Sequence[ServerPlan], **kwargs):
         levels=SWEEP_LEVELS,
         duration_s=SWEEP_DURATION_S,
         config=SWEEP_CONFIG,
+        engine=engine,
         **kwargs,
     )

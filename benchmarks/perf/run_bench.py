@@ -4,9 +4,10 @@
 This is the repo's perf trajectory: each entry records, for one
 scenario, the serial wall time, the engine wall time, the speedup, and
 which engine mechanism produced it (vectorization, cell deduplication,
-or process-pool workers).  Every engine run is checked against its
-serial twin before the timing is trusted — a speedup over wrong results
-is not a speedup.
+or the batched core).  The serial and overhead arms pin
+``engine="object"``, the per-object oracle these numbers were committed
+against.  Every engine run is checked against its serial twin before
+the timing is trusted — a speedup over wrong results is not a speedup.
 
 Usage::
 
@@ -39,7 +40,6 @@ from repro.engine.vectorized import (
     build_performance_matrix_vectorized,
     clear_engine_caches,
 )
-from repro.evaluation.colocation_eval import evaluate_policy
 from repro.runtime.atomic import atomic_write_json
 from repro.workloads.traces import UNIFORM_EVAL_LEVELS
 
@@ -102,7 +102,9 @@ def bench_matrix(cat, replicas: int) -> dict:
 def bench_cluster(cat, n_servers: int, serial_baseline: bool = True) -> dict:
     plans = sc.fleet_plans(cat, n_servers)
     n_cells = n_servers * len(sc.SWEEP_LEVELS)
-    engine, engine_s = _timed(sc.run_fleet, cat, plans, dedupe=True)
+    engine, engine_s = _timed(
+        sc.run_fleet, cat, plans, engine="object", dedupe=True
+    )
     entry = {
         "name": f"cluster_sweep_{n_servers}",
         "description": (
@@ -117,7 +119,7 @@ def bench_cluster(cat, n_servers: int, serial_baseline: bool = True) -> dict:
         "identical_results": None,
     }
     if serial_baseline:
-        serial, serial_s = _timed(sc.run_fleet, cat, plans)
+        serial, serial_s = _timed(sc.run_fleet, cat, plans, engine="object")
         entry["serial_s"] = round(serial_s, 4)
         entry["speedup"] = round(serial_s / engine_s, 2)
         entry["identical_results"] = _flat(serial) == _flat(engine)
@@ -138,7 +140,7 @@ def bench_batched(cat, n_servers: int, reps: int = 3) -> dict:
     """
     plans = sc.fleet_plans(cat, n_servers)
     n_cells = n_servers * len(sc.SWEEP_LEVELS)
-    serial, serial_s = _timed(sc.run_fleet, cat, plans)
+    serial, serial_s = _timed(sc.run_fleet, cat, plans, engine="object")
     sc.run_fleet(cat, sc.fleet_plans(cat, 10), engine="batched")
     batched = None
     batched_s = float("inf")
@@ -176,13 +178,14 @@ def bench_guard_overhead(cat, n_servers: int = 10, reps: int = 9) -> dict:
 
     plans = sc.fleet_plans(cat, n_servers)
     guard = GuardConfig()
-    sc.run_fleet(cat, plans, dedupe=True)  # warm model/grid caches
+    oracle = dict(engine="object", dedupe=True)
+    sc.run_fleet(cat, plans, **oracle)  # warm model/grid caches
     plain_s = guarded_s = float("inf")
     plain = guarded = None
     for _ in range(reps):
-        plain, t = _timed(sc.run_fleet, cat, plans, dedupe=True)
+        plain, t = _timed(sc.run_fleet, cat, plans, **oracle)
         plain_s = min(plain_s, t)
-        guarded, t = _timed(sc.run_fleet, cat, plans, dedupe=True, guard=guard)
+        guarded, t = _timed(sc.run_fleet, cat, plans, guard=guard, **oracle)
         guarded_s = min(guarded_s, t)
     assert _flat(plain) == _flat(guarded), "guarded != unguarded results"
     assert all(
@@ -219,13 +222,15 @@ def bench_budget_overhead(cat, reps: int = 9) -> dict:
 
     plans = sc.fleet_plans(cat, 4)
     budget = BudgetConfig(arbiter_period_s=0.5, lease_s=1.0, rack_size=2)
-    sc.run_fleet(cat, plans)  # warm model/grid caches
+    sc.run_fleet(cat, plans, engine="object")  # warm model/grid caches
     plain_s = budgeted_s = float("inf")
     budgeted = budgeted_again = None
     for _ in range(reps):
-        _plain, t = _timed(sc.run_fleet, cat, plans)
+        _plain, t = _timed(sc.run_fleet, cat, plans, engine="object")
         plain_s = min(plain_s, t)
-        budgeted, t = _timed(sc.run_fleet, cat, plans, budget=budget)
+        budgeted, t = _timed(
+            sc.run_fleet, cat, plans, engine="object", budget=budget
+        )
         budgeted_s = min(budgeted_s, t)
         budgeted_again = budgeted_again or budgeted
     assert _flat(budgeted) == _flat(budgeted_again), "budgeted run drifted"
@@ -242,33 +247,6 @@ def bench_budget_overhead(cat, reps: int = 9) -> dict:
         "serial_s": round(plain_s, 4),
         "engine_s": round(budgeted_s, 4),
         "overhead_pct": overhead_pct,
-        "identical_results": True,
-    }
-
-
-def bench_pipeline(cat, workers: int) -> dict:
-    kwargs = dict(
-        placement_seeds=range(4),
-        levels=sc.SWEEP_LEVELS,
-        duration_s=sc.SWEEP_DURATION_S,
-    )
-    serial, serial_s = _timed(evaluate_policy, cat, "pom", **kwargs)
-    pooled, pooled_s = _timed(
-        evaluate_policy, cat, "pom", workers=workers, **kwargs
-    )
-    identical = [_flat(r) for r in serial.runs] == [_flat(r) for r in pooled.runs]
-    assert identical, "pooled != serial"
-    return {
-        "name": "pipeline_policy_sweep",
-        "description": (
-            "evaluate_policy('pom'): 4 seeded cluster runs; serial vs "
-            f"process pool ({workers} workers) — gains scale with "
-            "physical cores, so expect ~1x on a single-core host"
-        ),
-        "mechanism": f"process-pool({workers})",
-        "serial_s": round(serial_s, 4),
-        "engine_s": round(pooled_s, 4),
-        "speedup": round(serial_s / pooled_s, 2),
         "identical_results": True,
     }
 
@@ -293,7 +271,6 @@ def main(argv=None) -> int:
     scenarios.append(bench_batched(cat, 100))
     if not args.quick:
         scenarios.append(bench_batched(cat, 1000))
-    scenarios.append(bench_pipeline(cat, workers=2))
     scenarios.append(bench_guard_overhead(cat))
     scenarios.append(bench_budget_overhead(cat))
 

@@ -71,15 +71,15 @@ class TestClusterSweep:
     def test_cluster_10_serial(self, benchmark, cat):
         plans = sc.fleet_plans(cat, 10)
         result = benchmark.pedantic(
-            sc.run_fleet, args=(cat, plans), rounds=1, iterations=1
+            sc.run_fleet, args=(cat, plans, "object"), rounds=1, iterations=1
         )
         assert len(result.outcomes) == 10 * len(sc.SWEEP_LEVELS)
 
     def test_cluster_10_engine(self, benchmark, cat):
         plans = sc.fleet_plans(cat, 10)
-        serial = sc.run_fleet(cat, plans)
+        serial = sc.run_fleet(cat, plans, "object")
         result = benchmark.pedantic(
-            sc.run_fleet, args=(cat, plans), kwargs={"dedupe": True},
+            sc.run_fleet, args=(cat, plans, "object"), kwargs={"dedupe": True},
             rounds=1, iterations=1,
         )
         assert _flat(result) == _flat(serial)
@@ -87,7 +87,7 @@ class TestClusterSweep:
     def test_cluster_100_engine(self, benchmark, cat):
         plans = sc.fleet_plans(cat, 100)
         result = benchmark.pedantic(
-            sc.run_fleet, args=(cat, plans), kwargs={"dedupe": True},
+            sc.run_fleet, args=(cat, plans, "object"), kwargs={"dedupe": True},
             rounds=1, iterations=1,
         )
         assert len(result.outcomes) == 100 * len(sc.SWEEP_LEVELS)
@@ -95,7 +95,7 @@ class TestClusterSweep:
     def test_cluster_1000_engine(self, benchmark, cat):
         plans = sc.fleet_plans(cat, 1000)
         result = benchmark.pedantic(
-            sc.run_fleet, args=(cat, plans), kwargs={"dedupe": True},
+            sc.run_fleet, args=(cat, plans, "object"), kwargs={"dedupe": True},
             rounds=1, iterations=1,
         )
         assert len(result.outcomes) == 1000 * len(sc.SWEEP_LEVELS)
@@ -116,7 +116,7 @@ class TestBatchedEngine:
         plans = sc.fleet_plans(cat, 1000)
         sc.run_fleet(cat, sc.fleet_plans(cat, 10), engine="batched")
         result = benchmark.pedantic(
-            sc.run_fleet, args=(cat, plans), kwargs={"engine": "batched"},
+            sc.run_fleet, args=(cat, plans, "batched"),
             rounds=1, iterations=1,
         )
         assert len(result.outcomes) == 1000 * len(sc.SWEEP_LEVELS)
@@ -136,7 +136,7 @@ class TestBatchedEngine:
         )
         plans = sc.fleet_plans(cat, 100)
         t0 = time.perf_counter()
-        serial = sc.run_fleet(cat, plans)
+        serial = sc.run_fleet(cat, plans, engine="object")
         serial_s = time.perf_counter() - t0
         sc.run_fleet(cat, sc.fleet_plans(cat, 10), engine="batched")
         batched = None
@@ -190,15 +190,15 @@ class TestBudgetOverhead:
         budget = BudgetConfig(
             arbiter_period_s=0.5, lease_s=1.0, rack_size=2
         )
-        sc.run_fleet(cat, plans)  # warm model/grid caches
+        sc.run_fleet(cat, plans, engine="object")  # warm model/grid caches
         plain_s = budgeted_s = float("inf")
         budgeted = None
         for _ in range(7):
             t0 = time.perf_counter()
-            sc.run_fleet(cat, plans)
+            sc.run_fleet(cat, plans, engine="object")
             plain_s = min(plain_s, time.perf_counter() - t0)
             t0 = time.perf_counter()
-            budgeted = sc.run_fleet(cat, plans, budget=budget)
+            budgeted = sc.run_fleet(cat, plans, engine="object", budget=budget)
             budgeted_s = min(budgeted_s, time.perf_counter() - t0)
         batched = sc.run_fleet(cat, plans, budget=budget, engine="batched")
         assert _flat(batched) == _flat(budgeted), (

@@ -5,8 +5,9 @@ The crash-safe runtime (`repro.runtime`, docs/RECOVERY.md) in one
 self-contained drill:
 
 1. **Clean run** — the reference sweep, uninterrupted.
-2. **Killed run** — the same sweep with a checkpoint file, executed in
-   a child process that is SIGKILLed as soon as the checkpoint shows
+2. **Killed run** — the same sweep with a checkpoint file, executed on
+   the per-object engine (it checkpoints each cell as it finishes) in a
+   child process that is SIGKILLed as soon as the checkpoint shows
    progress (a real ``kill -9``, not an exception).
 3. **Resume** — ``run_cluster_checkpointed(..., resume=True)`` loads
    the validated checkpoint, re-runs only the missing cells, and the
@@ -41,9 +42,12 @@ from examples.resume_sweep import build_plans, LEVELS, DURATION_S, CONFIG
 from repro.apps import REFERENCE_SPEC
 from repro.runtime import run_cluster_checkpointed
 
+# The object engine checkpoints each cell as it finishes, so the kill
+# lands between cells; the batched engine would checkpoint only at the end.
 run_cluster_checkpointed(
     build_plans(), REFERENCE_SPEC, sys.argv[1], levels=LEVELS,
     duration_s=DURATION_S, config=CONFIG, resume=True, checkpoint_every=1,
+    engine="object",
 )
 """
 

@@ -52,9 +52,12 @@ from chaos_smoke import build_plans, LEVELS, DURATION_S, CONFIG
 from repro.apps import REFERENCE_SPEC
 from repro.runtime import run_cluster_checkpointed
 
+# The object engine checkpoints each cell as it finishes, so the kill
+# lands between cells; the batched engine would checkpoint only at the end.
 run_cluster_checkpointed(
     build_plans(), REFERENCE_SPEC, sys.argv[1], levels=LEVELS,
     duration_s=DURATION_S, config=CONFIG, resume=True, checkpoint_every=1,
+    engine="object",
 )
 """
 

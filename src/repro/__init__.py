@@ -22,8 +22,8 @@ Package layout
 ``repro.sim``
     The time-stepped colocation and cluster simulators.
 ``repro.engine``
-    The execution layer: vectorized placement math, deterministic
-    process-pool fan-out, and exact cell deduplication.
+    The execution layer: vectorized placement math, the batched
+    cluster simulation core, and the ordered per-object oracle loop.
 ``repro.guard``
     Runtime safety invariants (power cap, energy conservation, SLO
     floor), the violation ledger, and coverage-guided chaos campaigns.

@@ -226,7 +226,7 @@ def cmd_run(catalog, args) -> None:
               f"{budget.lease_s:g}s leases, {budget.fairness} fairness")
     result = run_policy(
         catalog, args.policy, duration_s=args.duration,
-        workers=args.workers, checkpoint_path=checkpoint_path,
+        checkpoint_path=checkpoint_path,
         resume=args.resume, checkpoint_every=args.checkpoint_every,
         budget=budget,
     )
@@ -286,7 +286,6 @@ def cmd_guard(catalog, args) -> None:
               f"({args.rounds} rounds)...")
         campaign = run_campaign(runner, CampaignConfig(
             seed=args.seed, rounds=args.rounds, horizon_s=args.duration,
-            workers=args.workers,
         ))
         print(f"cases run        {campaign.cases_run}")
         print(f"corpus size      {campaign.corpus_size}")
@@ -302,7 +301,7 @@ def cmd_guard(catalog, args) -> None:
                   "contracts across the searched fault schedules.")
         return
     result = run_policy(
-        catalog, args.policy, duration_s=args.duration, workers=args.workers,
+        catalog, args.policy, duration_s=args.duration,
         guard=guard, ledger_path=args.ledger,
     )
     reports = [
@@ -342,14 +341,14 @@ def main(argv=None) -> int:
                         help="policy for the run command (default pocolo)")
     parser.add_argument("--duration", type=float, default=25.0,
                         help="seconds of simulated time per cell (run)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool width for the run command")
     parser.add_argument("--checkpoint-dir", default=None,
                         help="directory for the run command's checkpoint file")
     parser.add_argument("--resume", action="store_true",
                         help="continue the run from its checkpoint")
     parser.add_argument("--checkpoint-every", type=int, default=1,
-                        help="cells completed between checkpoint writes")
+                        help="cells completed between checkpoint writes "
+                             "(run; cells land one by one on the default "
+                             "object engine)")
     parser.add_argument("--guard-mode", choices=("record", "enforce"),
                         default="record",
                         help="guard command: record violations or fail fast")

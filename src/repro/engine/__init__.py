@@ -1,37 +1,33 @@
-"""Execution engine: vectorized math and deterministic fan-out.
+"""Execution engine: vectorized math and the cluster simulation cores.
 
 The simulation and placement layers describe *what* to compute; this
-package decides *how fast*.  Three mechanisms, all result-preserving:
+package decides *how fast*.  Every mechanism is result-preserving:
 
 * :mod:`repro.engine.vectorized` — the placement performance matrix
   (Fig 7 step II) computed with numpy broadcasting over the
   BE x LC x load-level cube instead of nested Python loops, bit-identical
   to the loop-based reference kept in :mod:`repro.core.placement`.
-* :mod:`repro.engine.parallel` — an ordered, seed-explicit process-pool
-  map for independent simulation cells (``run_cluster``) and policy
-  sweeps (``evaluation.pipeline.run_policy``); ``workers=1`` *is* the
-  serial path, not an emulation of it.
-* cell **deduplication** — replicated fleets (many servers sharing the
-  same app/manager/provisioning template) run each distinct
-  (plan, level) cell once and fan the outcome back out, which is exact
-  because every cell is a pure function of its explicit inputs.
+* :mod:`repro.engine.batched` — the structure-of-arrays cluster
+  simulation core (``engine="batched"``): it advances every (plan,
+  level) cell of a sweep together as numpy lanes, bit-identical to the
+  per-object oracle.
+* :mod:`repro.engine.parallel` — :func:`map_ordered`, the ordered loop
+  that runs cells on the per-object oracle (the default engine) and
+  wraps a failing cell in an :class:`~repro.errors.ExecutionError`
+  naming it.
 
-On top of the fan-out sits **crash supervision**:
-:class:`repro.engine.parallel.SupervisedPool` rebuilds a broken process
-pool with capped exponential backoff, re-submits only the lost tasks,
-and degrades to serial execution after repeated failures — the engine
-half of the crash-safe runtime (:mod:`repro.runtime`).
+Cell **deduplication** (``dedupe=True`` on the cluster entry points)
+runs each distinct (plan, level) cell once and fans the outcome back
+out, which is exact because every cell is a pure function of its
+explicit inputs; it lives with the cell definition in
+:mod:`repro.sim.cluster`.
 
-``tests/test_engine_differential.py`` pins all three equivalences;
+``tests/test_engine_differential.py`` and
+``tests/test_batched_differential.py`` pin the equivalences;
 ``benchmarks/perf/`` tracks the speedups in ``BENCH_engine.json``.
 """
 
-from repro.engine.parallel import (
-    CellKey,
-    SupervisedPool,
-    SupervisorStats,
-    map_ordered,
-)
+from repro.engine.parallel import map_ordered
 from repro.engine.vectorized import (
     ModelGrid,
     build_performance_matrix_vectorized,
@@ -43,15 +39,11 @@ from repro.engine.vectorized import (
 
 __all__ = [
     "BatchedClusterSim",
-    "CellKey",
     "ENGINES",
     "ModelGrid",
-    "SupervisedPool",
-    "SupervisorStats",
     "build_performance_matrix_vectorized",
     "cached_spare_capacity",
     "clear_engine_caches",
-    "default_engine",
     "map_ordered",
     "model_grid",
     "partition_cells",
@@ -60,7 +52,7 @@ __all__ = [
     "run_batched_cells",
 ]
 
-from repro.engine.select import ENGINES, default_engine, resolve_engine
+from repro.engine.select import ENGINES, resolve_engine
 
 #: Names served lazily from repro.engine.batched (PEP 562).  The
 #: batched core imports repro.sim.colocation at module level, and

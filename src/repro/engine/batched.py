@@ -39,7 +39,7 @@ possible:
 Anything the probe cannot prove eligible (custom manager classes,
 irregular DVFS ladders, unknown fault types, factories that raise) falls
 back lane-by-lane to the per-object oracle at its delivery position, so
-``run_batched_cells`` is a drop-in for the serial ``map_ordered`` path.
+``run_batched_cells`` is a drop-in for ``map_ordered(_run_cell, cells)``.
 
 The per-object path stays authoritative: ``tests/test_batched_
 differential.py`` proves equality field-by-field, and the object engine
@@ -82,6 +82,7 @@ from repro.guard.invariants import GuardConfig, GuardReport, Violation
 from repro.hwmodel.capping import CapStats, PowerCapController
 from repro.hwmodel.meter import PowerMeter
 from repro.hwmodel.spec import Allocation, ServerSpec
+from repro.sim.cluster import Cell
 from repro.sim.colocation import ColocationResult, SimConfig, build_colocated_server
 from repro.sim.telemetry import Telemetry, TimeSeries
 
@@ -414,27 +415,13 @@ def _build_probe(plan: Any, spec: ServerSpec, be_app: Any) -> Optional[Dict[str,
     return info
 
 
-def _task_parts(task: Any) -> Tuple[Any, ...]:
-    """An 8- or 9-element cell tuple padded to nine parts.
-
-    Unbudgeted cluster plans emit the historical eight-element tuples;
-    budgeted plans append a ninth element, the lane's
-    :class:`~repro.budget.schedule.CapSchedule`.  Callers always unpack
-    nine parts.
-    """
-    if isinstance(task, tuple) and len(task) == 8:
-        return task + (None,)
-    if isinstance(task, tuple) and len(task) == 9:
-        return task
-    raise ConfigError("cell task must be an 8- or 9-element tuple")
-
-
 def _task_eligible(task: Any) -> bool:
-    """Structural checks on one (plan, spec, level, ...) cell tuple."""
-    if not (isinstance(task, tuple) and len(task) in (8, 9)):
+    """Structural checks on one planned :class:`~repro.sim.cluster.Cell`."""
+    if not isinstance(task, Cell):
         return False
-    (_plan, spec, level, duration_s, config, _be_app, faults, guard,
-     schedule) = _task_parts(task)
+    spec, level, duration_s = task.spec, task.level, task.duration_s
+    config, faults, guard = task.config, task.faults, task.guard
+    schedule = task.cap_schedule
     if not isinstance(spec, ServerSpec) or not isinstance(config, SimConfig):
         return False
     if guard is not None and not isinstance(guard, GuardConfig):
@@ -480,19 +467,17 @@ def _partition(
     for i, task in enumerate(tasks):
         info = None
         if _task_eligible(task):
-            (plan, spec, _level, duration_s, config, be_app, faults, guard,
-             _schedule) = _task_parts(task)
-            info = _probe_plan(plan, spec, be_app, probe_cache)
+            info = _probe_plan(task.plan, task.spec, task.be_app, probe_cache)
         if info is None:
             fallback.add(i)
             continue
         infos[i] = info
         group_key = (
-            id(faults) if faults is not None else None,
-            guard,
-            float(duration_s),
-            config,
-            spec,
+            id(task.faults) if task.faults is not None else None,
+            task.guard,
+            float(task.duration_s),
+            task.config,
+            task.spec,
             info["kind"],
         )
         groups.setdefault(group_key, []).append(i)
@@ -551,8 +536,9 @@ class BatchedClusterSim:
         if not tasks:
             raise ConfigError("batched sim needs at least one lane")
         n = len(tasks)
-        (plan0, spec, _lvl, duration_s, config, _be0, faults, guard,
-         _sched0) = _task_parts(tasks[0])
+        first = tasks[0]
+        spec, duration_s, config = first.spec, first.duration_s, first.config
+        faults, guard = first.faults, first.guard
         self.tasks = list(tasks)
         self.spec = spec
         self.config = config
@@ -578,13 +564,13 @@ class BatchedClusterSim:
 
         kind = infos[0]["kind"]
         self.kind = kind
-        self.plans = [t[0] for t in tasks]
-        self.levels_raw = [t[2] for t in tasks]
-        self.be_apps = [t[5] for t in tasks]
-        self.durations = [t[3] for t in tasks]
+        self.plans = [t.plan for t in tasks]
+        self.levels_raw = [t.level for t in tasks]
+        self.be_apps = [t.be_app for t in tasks]
+        self.durations = [t.duration_s for t in tasks]
 
         # ---- per-lane static columns -------------------------------
-        self.level = np.asarray([float(t[2]) for t in tasks])
+        self.level = np.asarray([float(t.level) for t in tasks])
         self.peak_load = np.asarray([p.lc_app.peak_load for p in self.plans])
         self.cap = np.asarray([float(p.provisioned_power_w) for p in self.plans])
 
@@ -595,7 +581,7 @@ class BatchedClusterSim:
         # +inf, caps with the last cap; schedule-less lanes get one
         # -inf breakpoint pinning their provisioned base.  The gathered
         # floats are the planner's own, so caps are bit-exact.
-        self.schedules = [_task_parts(t)[8] for t in tasks]
+        self.schedules = [t.cap_schedule for t in tasks]
         self.any_sched = any(s is not None for s in self.schedules)
         if self.any_sched:
             width = max(
@@ -1632,47 +1618,27 @@ class BatchedClusterSim:
 
 
 # ----------------------------------------------------------------------
-# Entry point: the batched equivalent of map_ordered(_run_cell, tasks)
+# Entry point: the batched equivalent of map_ordered(_run_cell, cells)
 # ----------------------------------------------------------------------
 def run_batched_cells(
     tasks: Sequence[Any],
-    keys: Optional[Sequence[Any]] = None,
     on_result: Optional[Any] = None,
 ) -> List[Any]:
-    """Run cluster cell tuples through the batched core.
+    """Run planned cells (:class:`~repro.sim.cluster.Cell`) on the batched core.
 
-    Mirrors ``map_ordered(_run_cell, tasks, keys=keys)`` exactly:
-    results arrive in task order, equal ``keys`` dedupe to one
-    computation, and failures raise the same ``ExecutionError`` wrapping
+    Mirrors ``map_ordered(_run_cell, tasks)`` exactly: results arrive in
+    task order, and failures raise the same ``ExecutionError`` wrapping
     at the same position.  Cells the batched core cannot claim (unknown
-    manager types, unsupported faults, non-constant traces) silently
+    manager types, unsupported faults, anything that is not a ``Cell``)
     fall back to the per-object oracle, one cell at a time.
 
     ``on_result(position, result)`` fires per delivered result in
-    ascending position order — only honoured without ``keys`` (matching
-    the serial pool used by checkpointed sweeps, which dedupes before
-    execution).
+    ascending position order, after every lane group has run.
     """
-    task_list = list(tasks)
-    if keys is not None:
-        key_list = list(keys)
-        if len(key_list) != len(task_list):
-            raise ConfigError("keys must align one-to-one with tasks")
-        first_index: Dict[Any, int] = {}
-        unique: List[Any] = []
-        for task, key in zip(task_list, key_list):
-            if key not in first_index:
-                first_index[key] = len(unique)
-                unique.append(task)
-        unique_results = _execute(unique, None)
-        return [unique_results[first_index[key]] for key in key_list]
-    return _execute(task_list, on_result)
-
-
-def _execute(tasks: List[Any], on_result: Optional[Any]) -> List[Any]:
     from repro.engine.parallel import _task_failure
     from repro.sim.cluster import _run_cell
 
+    tasks = list(tasks)
     groups, fallback, infos = _partition(tasks, {})
     slots: List[Any] = [None] * len(tasks)
     for positions in groups.values():

@@ -1,11 +1,9 @@
-"""Ambient engine selection for the cluster simulation entry points.
+"""Engine selection for the cluster simulation entry points.
 
 ``run_cluster`` / ``run_policy`` / ``run_cluster_checkpointed`` accept an
-``engine="object"|"batched"`` keyword.  When the caller passes ``None``
-(the default), the ambient default configured here is used — tests use
-:func:`default_engine` to re-run an entire pipeline under the batched
-core without threading a knob through every call site (the golden-report
-byte-identity suite does exactly that).
+``engine="object"|"batched"`` keyword.  ``None`` (the default) means
+the per-object oracle; ``"batched"`` selects the structure-of-arrays
+core, which the differential suites prove bit-identical to the oracle.
 
 This module is dependency-free on purpose: it sits below both
 ``repro.sim`` and ``repro.engine.batched`` in the import graph, so
@@ -14,39 +12,20 @@ either side can import it without creating a cycle.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import ConfigError
 
 #: Engines the cluster entry points understand.
 ENGINES = ("object", "batched")
 
-_DEFAULT_ENGINE = "object"
-
 
 def resolve_engine(engine: Optional[str]) -> str:
-    """Validate ``engine`` and resolve ``None`` to the ambient default."""
+    """Validate ``engine`` and resolve ``None`` to ``"object"``."""
     if engine is None:
-        return _DEFAULT_ENGINE
+        return "object"
     if engine not in ENGINES:
         raise ConfigError(
             f"unknown engine {engine!r}: expected one of {ENGINES}"
         )
     return engine
-
-
-@contextmanager
-def default_engine(name: str) -> Iterator[None]:
-    """Temporarily set the ambient engine used when ``engine=None``."""
-    global _DEFAULT_ENGINE
-    if name not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {name!r}: expected one of {ENGINES}"
-        )
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = name
-    try:
-        yield
-    finally:
-        _DEFAULT_ENGINE = previous

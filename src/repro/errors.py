@@ -51,12 +51,12 @@ class LintError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """A task failed inside the execution engine's fan-out.
+    """A cell failed inside the execution engine.
 
     Raised by :func:`repro.engine.parallel.map_ordered` and
-    :class:`repro.engine.parallel.SupervisedPool` when a mapped function
-    raises (the message names the failing task's index and arguments) or
-    when supervision exhausts its restart budget."""
+    :func:`repro.engine.batched.run_batched_cells` when a cell raises;
+    the message names the failing cell's index, arguments and root
+    cause, and the original exception is chained as ``__cause__``."""
 
 
 class InvariantViolationError(ReproError):

@@ -19,7 +19,6 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.placement import PlacementDecision, enumerate_placements
-from repro.engine.parallel import map_ordered
 from repro.errors import ConfigError
 from repro.evaluation.pipeline import (
     FittedCatalog,
@@ -50,21 +49,6 @@ def _average_dicts(dicts: Sequence[Dict[str, float]]) -> Dict[str, float]:
     return {k: float(np.mean([d[k] for d in dicts])) for k in keys}
 
 
-def _run_policy_task(
-    catalog: FittedCatalog,
-    policy: str,
-    levels: Sequence[float],
-    duration_s: float,
-    seed: int,
-    sim_seed: int,
-) -> ClusterRunResult:
-    """One seeded policy run — module-level so the pool can pickle it."""
-    return run_policy(
-        catalog, policy, levels=levels, duration_s=duration_s,
-        seed=seed, sim_config=SimConfig(seed=sim_seed),
-    )
-
-
 def evaluate_policy(
     catalog: FittedCatalog,
     policy: str,
@@ -72,20 +56,16 @@ def evaluate_policy(
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
     duration_s: float = 30.0,
     sim_seed: int = 0,
-    workers: int = 1,
 ) -> PolicyEvaluation:
-    """Run one policy; random-placement policies average over seeds.
-
-    ``workers`` fans the independent seeded runs out to the engine's
-    process pool (each run is fully determined by its explicit seed
-    arguments); ``workers=1`` is the exact serial sweep.
-    """
+    """Run one policy; random-placement policies average over seeds."""
     seeds = list(placement_seeds) if policy in ("random", "pom", "random-nocap") else [0]
-    tasks = [
-        (catalog, policy, tuple(levels), duration_s, seed, sim_seed)
+    runs = [
+        run_policy(
+            catalog, policy, levels=tuple(levels), duration_s=duration_s,
+            seed=seed, sim_config=SimConfig(seed=sim_seed),
+        )
         for seed in seeds
     ]
-    runs = map_ordered(_run_policy_task, tasks, workers=workers)
     return PolicyEvaluation(
         policy=policy,
         be_throughput_by_server=_average_dicts(
@@ -114,14 +94,13 @@ def evaluate_all_policies(
     levels: Sequence[float] = UNIFORM_EVAL_LEVELS,
     duration_s: float = 30.0,
     sim_seed: int = 0,
-    workers: int = 1,
 ) -> Dict[str, PolicyEvaluation]:
     """Fig 12/13 in one call: every policy, same workload and sim seed."""
     seeds = list(placement_seeds)
     return {
         policy: evaluate_policy(
             catalog, policy, placement_seeds=seeds, levels=levels,
-            duration_s=duration_s, sim_seed=sim_seed, workers=workers,
+            duration_s=duration_s, sim_seed=sim_seed,
         )
         for policy in policies
     }

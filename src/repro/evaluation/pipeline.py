@@ -247,7 +247,6 @@ def run_policy(
     seed: int = 0,
     sim_config: Optional[SimConfig] = None,
     placement: Optional[PlacementDecision] = None,
-    workers: int = 1,
     dedupe: bool = False,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
@@ -263,10 +262,10 @@ def run_policy(
     at :data:`~repro.apps.catalog.NOCAP_PROVISIONED_W` (the Section V-F
     TCO baseline); all other policies use right-sized capacities.
 
-    ``workers`` / ``dedupe`` are forwarded to
-    :func:`~repro.sim.cluster.run_cluster` — bit-identical execution
-    knobs, not semantic ones.  A ``checkpoint_path`` routes the sweep
-    through :func:`repro.runtime.run_cluster_checkpointed` instead:
+    ``dedupe`` is forwarded to :func:`~repro.sim.cluster.run_cluster` —
+    a bit-identical execution knob, not a semantic one.  A
+    ``checkpoint_path`` routes the sweep through
+    :func:`repro.runtime.run_cluster_checkpointed` instead:
     completed cells persist as they land and ``resume=True`` re-runs
     only the missing ones — still bit-identical (see
     ``docs/RECOVERY.md``).
@@ -276,9 +275,11 @@ def run_policy(
     violation ledger — derived deterministically from the completed
     cells, checkpointed or not.
 
-    ``engine`` selects the simulation core (``"object"`` per-cell
-    oracle / ``"batched"`` structure-of-arrays; see ``docs/ENGINE.md``)
-    — another bit-identical execution knob.
+    ``engine`` selects the simulation core (``None``, the default, is
+    the per-cell oracle; ``"batched"`` the structure-of-arrays core;
+    see ``docs/ENGINE.md``) — another bit-identical execution knob.
+    Checkpointed cells persist as they land only on the oracle; the
+    batched core hands them to the checkpoint after the whole sweep.
 
     ``budget`` switches on hierarchical lease-based power budgeting
     (:mod:`repro.budget`, ``docs/BUDGETS.md``): every cell runs under
@@ -295,7 +296,7 @@ def run_policy(
 
         return run_cluster_checkpointed(
             plans, catalog.spec, checkpoint_path, levels=levels,
-            duration_s=duration_s, config=config, workers=workers,
+            duration_s=duration_s, config=config,
             dedupe=dedupe, resume=resume, checkpoint_every=checkpoint_every,
             guard=guard, ledger_path=ledger_path, engine=engine,
             budget=budget,
@@ -304,7 +305,7 @@ def run_policy(
         raise ConfigError("a violation ledger needs a guard config")
     result = run_cluster(plans, catalog.spec, levels=levels,
                          duration_s=duration_s, config=config,
-                         workers=workers, dedupe=dedupe, guard=guard,
+                         dedupe=dedupe, guard=guard,
                          engine=engine, budget=budget)
     if ledger_path is not None:
         from repro.guard.ledger import write_ledger

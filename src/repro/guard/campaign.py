@@ -11,7 +11,7 @@ coverage signal:
 2. mutate schedules drawn from the corpus (add/drop/shift/stretch/
    intensify faults) with a seeded generator;
 3. run each mutant through a guarded, *record-mode* colocation cell —
-   fanned out through :class:`~repro.engine.parallel.SupervisedPool`;
+   in order, through :func:`~repro.engine.parallel.map_ordered`;
 4. keep mutants that light up new coverage — a new combination of
    degradation counters (:class:`~repro.hwmodel.capping.CapStats`,
    :class:`~repro.core.server_manager.ManagerStats`) at a new order of
@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.apps.best_effort import BestEffortApp
 from repro.apps.latency_critical import LatencyCriticalApp
-from repro.engine.parallel import SupervisedPool
+from repro.engine.parallel import map_ordered
 from repro.errors import ConfigError
 from repro.faults.schedule import (
     ArbiterCrash,
@@ -130,7 +130,6 @@ class CampaignConfig:
     mean_duration_s: float = 8.0
     shrink_budget: int = 32
     stop_on_violation: bool = True
-    workers: int = 1
     #: Include the power-infrastructure family (rack derates/trips,
     #: arbiter crashes, grant loss/delay) in the mutation pool.  Only
     #: meaningful with a budget-aware runner (cell runners ignore infra
@@ -149,17 +148,15 @@ class CampaignConfig:
             raise ConfigError("campaign schedules need room for one fault")
         if self.shrink_budget < 0:
             raise ConfigError("shrink budget cannot be negative")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
 class ColocationCaseRunner:
     """One guarded colocation cell as a pure function of a fault schedule.
 
-    Picklable by construction (apps, specs and the pipeline's manager
-    factories are plain data), so campaign cases fan out through the
-    process pool exactly like cluster-sweep cells.  The guard must be in
+    A frozen value object (apps, specs and the pipeline's manager
+    factories are plain data), so a case is fully determined by its
+    schedule, exactly like a cluster-sweep cell.  The guard must be in
     ``record`` mode: a campaign *observes* violations and keeps
     searching — enforce mode would abort the very case that found one.
 
@@ -416,7 +413,7 @@ class BudgetCaseRunner:
 def _evaluate_case(
     runner: ColocationCaseRunner, schedule: FaultSchedule
 ) -> CaseOutcome:
-    """Pool-friendly module-level wrapper around ``runner.run``."""
+    """Module-level wrapper around ``runner.run`` for ``map_ordered``."""
     return runner.run(schedule)
 
 
@@ -685,24 +682,19 @@ class CampaignResult:
 def run_campaign(
     runner: ColocationCaseRunner,
     config: CampaignConfig = CampaignConfig(),
-    supervisor: Optional[SupervisedPool] = None,
 ) -> CampaignResult:
     """Execute one coverage-guided chaos campaign.
 
     Deterministic for fixed ``(runner, config)``: every random draw
     comes from one generator seeded with ``config.seed`` in the parent
     process, cases are pure functions of their schedules, and batches
-    collect in submission order through the supervised pool (worker
-    crashes are retried, never change results).
+    run in submission order.
 
     Returns a :class:`CampaignResult`; with ``stop_on_violation`` (the
     default) the search ends at the first round that produced
     violations, after shrinking each to a minimal reproducer.
     """
     rng = np.random.default_rng(config.seed)
-    pool = supervisor if supervisor is not None else SupervisedPool(
-        workers=config.workers
-    )
     schedules: List[FaultSchedule] = [FaultSchedule(())]
     for _ in range(config.initial_corpus - 1):
         schedules.append(FaultSchedule.random(
@@ -739,7 +731,7 @@ def run_campaign(
                 shrink_evaluations=shrunk.evaluations,
             ))
 
-    for outcome in pool.map_ordered(
+    for outcome in map_ordered(
         _evaluate_case, [(runner, s) for s in schedules]
     ):
         process(outcome)
@@ -752,7 +744,7 @@ def run_campaign(
             )
             for _ in range(config.batch_size)
         ]
-        for outcome in pool.map_ordered(
+        for outcome in map_ordered(
             _evaluate_case, [(runner, s) for s in batch]
         ):
             process(outcome)

@@ -18,9 +18,9 @@ Three layers, each usable alone:
   missing ones, producing a **bit-identical**
   :class:`~repro.sim.cluster.ClusterRunResult`.
 
-Worker-level failures are handled one layer down by
-:class:`repro.engine.parallel.SupervisedPool`; the recovery runbook is
-``docs/RECOVERY.md``.
+Cells execute in-process, on the per-object oracle by default.  With
+``engine="batched"`` they reach the checkpoint only after the whole
+sweep has run.  The recovery runbook is ``docs/RECOVERY.md``.
 """
 
 from repro.runtime.atomic import (

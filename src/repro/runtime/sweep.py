@@ -7,7 +7,7 @@ from the config seed.  That purity is the whole recovery story:
 
 1. :func:`repro.sim.cluster.plan_cluster_tasks` decides every cell (and
    the full fault report) before anything runs;
-2. completed cell outcomes are persisted, keyed by task index, in a
+2. completed cell outcomes are persisted, keyed by cell index, in a
    single :class:`~repro.runtime.checkpoint.Checkpoint` file rewritten
    atomically as results land;
 3. a resumed run re-plans (bit-identical, planning is deterministic),
@@ -20,9 +20,13 @@ SIGKILL.  A checkpoint refuses to resume a different sweep: the
 ``run_key`` digests the sweep's full content (apps, provisioning,
 levels, duration, sim config, fault plan), not object identities.
 
-Execution goes through :class:`~repro.engine.parallel.SupervisedPool`,
-so a crashing *worker* costs a pool rebuild, not the run; a crashing
-*parent* costs at most ``checkpoint_every`` cells of work.
+Cells run through the same engines as ``run_cluster``.  How much work a
+crash costs depends on when outcomes reach the checkpoint: the default
+object engine hands over each cell as it finishes (a crash costs at
+most ``checkpoint_every`` cells), the batched engine hands over a lane
+group's cells only once every group of the pending cells has run — and
+a typical sweep is one group, so a crash before that point loses the
+whole pending sweep.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ from __future__ import annotations
 import hashlib
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.engine.parallel import CellKey, SupervisedPool
 from repro.engine.select import resolve_engine
 from repro.errors import CheckpointError, ConfigError
 from repro.faults.cluster import ClusterFaultPlan
@@ -45,8 +48,8 @@ from repro.sim.cluster import (
     ClusterRunResult,
     LevelOutcome,
     ServerPlan,
-    _cell_key,
-    _run_cell,
+    _dedupe_cells,
+    _execute_cells,
     plan_cluster_tasks,
 )
 from repro.sim.colocation import SimConfig
@@ -127,20 +130,6 @@ def sweep_run_key(
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 
-def _dedupe_plan(
-    tasks: Sequence[Tuple],
-) -> Tuple[List[Tuple], List[CellKey], Dict[CellKey, int]]:
-    """Mirror ``map_ordered``'s dedupe: unique tasks + fan-out mapping."""
-    keys = [_cell_key(*task) for task in tasks]
-    first_index: Dict[CellKey, int] = {}
-    unique: List[Tuple] = []
-    for task, key in zip(tasks, keys):
-        if key not in first_index:
-            first_index[key] = len(unique)
-            unique.append(task)
-    return unique, keys, first_index
-
-
 def _load_completed(
     path: Path, run_key: str, total: int
 ) -> Dict[int, LevelOutcome]:
@@ -173,11 +162,9 @@ def run_cluster_checkpointed(
     duration_s: float = 60.0,
     config: SimConfig = SimConfig(),
     fault_plan: Optional[ClusterFaultPlan] = None,
-    workers: int = 1,
     dedupe: bool = False,
     resume: bool = False,
     checkpoint_every: int = 1,
-    supervisor: Optional[SupervisedPool] = None,
     guard: Optional[GuardConfig] = None,
     ledger_path: Optional[PathLike] = None,
     engine: Optional[str] = None,
@@ -194,13 +181,10 @@ def run_cluster_checkpointed(
       cells it lacks.  A missing file starts fresh (so "always pass
       ``--resume``" is a safe operating procedure); a checkpoint from a
       *different* sweep raises :class:`~repro.errors.CheckpointError`;
-    * ``checkpoint_every`` — cells completed between checkpoint writes;
-      1 (default) bounds the recomputation lost to a crash at one cell;
-    * ``supervisor`` — a configured
-      :class:`~repro.engine.parallel.SupervisedPool` to execute with
-      (its worker count wins over ``workers``); by default a fresh
-      supervisor with ``workers`` workers is used, so worker crashes
-      are retried either way.
+    * ``checkpoint_every`` — completed cells between checkpoint writes.
+      It bounds lost work only on the object engine; the batched engine
+      delivers every cell at the end, so there it only sets how often
+      that final burst rewrites the file.
 
     The checkpoint is left in place on success — it doubles as the
     completed-run record (its header carries progress counters readable
@@ -213,25 +197,28 @@ def run_cluster_checkpointed(
     cells, so a resumed sweep emits a byte-identical ledger to an
     uninterrupted one.
 
-    ``engine="batched"`` executes the pending cells through the
-    structure-of-arrays core (:mod:`repro.engine.batched`) instead of
-    the supervised pool; completed cells still checkpoint one by one in
-    delivery order, and — because both engines are bit-identical — a
-    checkpoint written by either engine resumes under the other without
-    changing a single result byte (the ``run_key`` is engine-agnostic
-    on purpose).
+    ``engine`` picks the core that runs the pending cells, as in
+    ``run_cluster``, and decides how much a crash costs:
+
+    * ``None`` (the default, the per-object oracle) hands each cell to
+      the checkpoint as it finishes, so ``checkpoint_every=1`` (the
+      default) bounds the recomputation a crash costs at one cell;
+    * ``"batched"`` hands over a lane group's cells only
+      after *every* lane group of the pending cells has run.  A typical
+      sweep (one manager kind, one duration, one fault schedule) is a
+      single group, so a crash before the end loses every pending cell
+      and the resume re-runs them all.
+
+    Both engines are bit-identical, so a checkpoint written by either
+    resumes under the other without changing a single result byte (the
+    ``run_key`` is engine-agnostic on purpose).
     """
     if checkpoint_every < 1:
         raise ConfigError("checkpoint_every must be at least 1")
     engine_name = resolve_engine(engine)
-    if engine_name == "batched" and supervisor is not None:
-        raise ConfigError(
-            "engine='batched' runs in-process; it cannot execute through "
-            "a SupervisedPool"
-        )
     if ledger_path is not None and guard is None:
         raise ConfigError("a violation ledger needs a guard config")
-    tasks, skeleton = plan_cluster_tasks(
+    cells, skeleton = plan_cluster_tasks(
         plans, spec, levels, duration_s, config, fault_plan, guard=guard,
         budget=budget,
     )
@@ -239,14 +226,11 @@ def run_cluster_checkpointed(
         plans, spec, levels=levels, duration_s=duration_s,
         config=config, fault_plan=fault_plan, guard=guard, budget=budget,
     )
-    if dedupe:
-        exec_tasks, keys, first_index = _dedupe_plan(tasks)
-    else:
-        exec_tasks = list(tasks)
+    unique, fan_out = _dedupe_cells(cells, dedupe)
     target = Path(checkpoint_path)
     completed: Dict[int, LevelOutcome] = {}
     if resume and target.exists():
-        completed = _load_completed(target, run_key, len(exec_tasks))
+        completed = _load_completed(target, run_key, len(unique))
     placement = {
         plan.lc_app.name: (plan.be_app.name if plan.be_app else None)
         for plan in plans
@@ -260,13 +244,13 @@ def run_cluster_checkpointed(
             run_key=run_key,
             payload={"completed": dict(completed), "placement": placement},
             extra={
-                "cells_total": len(exec_tasks),
+                "cells_total": len(unique),
                 "cells_done": len(completed),
                 "cursor": cursor,
             },
         ).save(target)
 
-    pending = [i for i in range(len(exec_tasks)) if i not in completed]
+    pending = [i for i in range(len(unique)) if i not in completed]
     if pending:
         since_save = 0
 
@@ -278,30 +262,11 @@ def run_cluster_checkpointed(
                 _save()
                 since_save = 0
 
-        if engine_name == "batched":
-            # Imported lazily for the same layering reason as in
-            # run_cluster: the batched core sits above repro.sim.
-            from repro.engine.batched import run_batched_cells
-
-            run_batched_cells(
-                [exec_tasks[i] for i in pending], on_result=_on_result
-            )
-        else:
-            pool = supervisor if supervisor is not None else SupervisedPool(
-                workers=workers
-            )
-            pool.map_ordered(
-                _run_cell,
-                [exec_tasks[i] for i in pending],
-                on_result=_on_result,
-            )
-    _save()
-    if dedupe:
-        skeleton.outcomes.extend(completed[first_index[key]] for key in keys)
-    else:
-        skeleton.outcomes.extend(
-            completed[i] for i in range(len(exec_tasks))
+        _execute_cells(
+            [unique[i] for i in pending], engine_name, on_result=_on_result
         )
+    _save()
+    skeleton.outcomes.extend(completed[i] for i in fan_out)
     if ledger_path is not None:
         # Imported here: repro.guard.ledger writes through this
         # package's atomic helpers, so a module-level import would be

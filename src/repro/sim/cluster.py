@@ -15,7 +15,7 @@ is entirely through the placement decision — as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.budget.arbiter import BudgetConfig, BudgetPlan, BudgetReport, plan_bu
 from repro.budget.schedule import CapSchedule
 from repro.core.placement import assign_with_fallback
 from repro.core.server_manager import ServerManagerBase
-from repro.engine.parallel import CellKey, map_ordered
+from repro.engine.parallel import ResultHook, map_ordered
 from repro.engine.select import resolve_engine
 from repro.errors import ConfigError
 from repro.faults.cluster import (
@@ -71,6 +71,25 @@ class LevelOutcome:
     be_name: Optional[str]
     level: float
     result: ColocationResult
+
+
+class Cell(NamedTuple):
+    """One planned (server, load level) cell: :func:`_run_cell`'s arguments.
+
+    ``_run_cell(*cell)`` runs it on the per-object oracle; the batched
+    core reads the same fields by name.  ``cap_schedule`` is set only by
+    budgeted sweeps.
+    """
+
+    plan: ServerPlan
+    spec: ServerSpec
+    level: float
+    duration_s: float
+    config: SimConfig
+    be_app: Optional[BestEffortApp]
+    faults: Optional[FaultSchedule] = None
+    guard: Optional[GuardConfig] = None
+    cap_schedule: Optional[CapSchedule] = None
 
 
 @dataclass
@@ -185,17 +204,7 @@ def _run_cell(
     )
 
 
-def _cell_key(
-    plan: ServerPlan,
-    spec: ServerSpec,
-    level: float,
-    duration_s: float,
-    config: SimConfig,
-    be_app: Optional[BestEffortApp],
-    faults: Optional[FaultSchedule],
-    guard: Optional[GuardConfig] = None,
-    cap_schedule: Optional[CapSchedule] = None,
-) -> CellKey:
+def _cell_key(cell: Cell) -> Hashable:
     """Identity of one cell for deduplication.
 
     Two cells with equal keys run the exact same simulation:
@@ -209,6 +218,7 @@ def _cell_key(
     compare by content — two replicas handed value-equal budget
     schedules still dedupe to one cell.
     """
+    plan = cell.plan
     try:
         hash(plan.manager_factory)
         factory_key = plan.manager_factory
@@ -216,17 +226,61 @@ def _cell_key(
         factory_key = ("id", id(plan.manager_factory))
     return (
         id(plan.lc_app),
-        None if be_app is None else id(be_app),
+        None if cell.be_app is None else id(cell.be_app),
         plan.provisioned_power_w,
         factory_key,
-        spec,
-        level,
-        duration_s,
-        config,
-        None if faults is None else id(faults),
-        guard,
-        cap_schedule,
+        cell.spec,
+        cell.level,
+        cell.duration_s,
+        cell.config,
+        None if cell.faults is None else id(cell.faults),
+        cell.guard,
+        cell.cap_schedule,
     )
+
+
+def _dedupe_cells(
+    cells: Sequence[Cell], dedupe: bool
+) -> Tuple[Sequence[Cell], Sequence[int]]:
+    """The cells to execute, and each planned cell's index into them.
+
+    With ``dedupe`` the executed cells are the distinct ones (by
+    :func:`_cell_key`) in first-seen order; without it they are
+    ``cells`` themselves and no key is computed.
+    """
+    if not dedupe:
+        return cells, range(len(cells))
+    first_index: Dict[Hashable, int] = {}
+    unique: List[Cell] = []
+    fan_out: List[int] = []
+    for cell in cells:
+        key = _cell_key(cell)
+        index = first_index.get(key)
+        if index is None:
+            index = first_index[key] = len(unique)
+            unique.append(cell)
+        fan_out.append(index)
+    return unique, fan_out
+
+
+def _execute_cells(
+    cells: Sequence[Cell],
+    engine: str,
+    on_result: ResultHook[LevelOutcome] = None,
+) -> List[LevelOutcome]:
+    """Run ``cells`` in order on a resolved engine name.
+
+    ``on_result(position, outcome)`` fires once per cell in ascending
+    position order: the object engine fires it as each cell finishes,
+    the batched engine only after every lane group has run.
+    """
+    if engine == "batched":
+        # Imported lazily: the batched core builds on ColocationSim's
+        # module surface, so a top-level import would be circular.
+        from repro.engine.batched import run_batched_cells
+
+        return run_batched_cells(cells, on_result=on_result)
+    return map_ordered(_run_cell, cells, on_result=on_result)
 
 
 def run_cluster(
@@ -236,7 +290,6 @@ def run_cluster(
     duration_s: float = 60.0,
     config: SimConfig = SimConfig(),
     fault_plan: Optional[ClusterFaultPlan] = None,
-    workers: int = 1,
     dedupe: bool = False,
     guard: Optional[GuardConfig] = None,
     engine: Optional[str] = None,
@@ -253,27 +306,22 @@ def run_cluster(
     timeline's control flow depends only on the fault plan, not on cell
     outcomes), so execution is delegated to the engine:
 
-    * ``workers`` — fan independent cells out to a process pool with
-      ordered collection; ``workers=1`` is the exact serial loop.
+    * ``engine`` — ``None`` (the default) runs every cell through its
+      own :class:`~repro.sim.colocation.ColocationSim`, the differential
+      oracle; ``"batched"`` advances all compatible cells together as
+      numpy lanes (:mod:`repro.engine.batched`) and runs any cell it
+      cannot claim on the oracle.
     * ``dedupe`` — run each distinct (plan, level) cell once and reuse
       the outcome for replicas (see :func:`_cell_key`); exact because
       cells are pure, and the big lever for replicated fleets.
 
-    Both knobs are bit-identical to the default serial run — the
-    differential suite pins that.
+    Every combination of the two knobs is bit-identical — the
+    differential suites pin that.
 
     ``guard`` switches on the runtime safety invariants of
     :mod:`repro.guard` in every cell: each outcome carries a
     ``guard_report``, and enforce mode fails the run on the first
     violation.
-
-    ``engine`` selects the execution core: ``"object"`` runs each cell
-    through its own :class:`~repro.sim.colocation.ColocationSim` (the
-    oracle), ``"batched"`` advances all compatible cells together as
-    numpy lanes (:mod:`repro.engine.batched`) and falls back to the
-    oracle per cell it cannot claim.  ``None`` uses the ambient default
-    (:func:`repro.engine.select.default_engine`).  Both are bit-identical
-    — the batched differential suite pins it.
 
     ``budget`` switches on hierarchical power budgeting
     (:mod:`repro.budget`): the lease-granting arbiter is planned over
@@ -282,25 +330,14 @@ def run_cluster(
     :class:`~repro.budget.arbiter.BudgetReport`.  Cells stay pure, so
     dedupe, checkpointing and both engines keep working unchanged.
     """
-    tasks, result = plan_cluster_tasks(
+    engine_name = resolve_engine(engine)
+    cells, result = plan_cluster_tasks(
         plans, spec, levels, duration_s, config, fault_plan, guard=guard,
         budget=budget,
     )
-    keys = [_cell_key(*task) for task in tasks] if dedupe else None
-    engine_name = resolve_engine(engine)
-    if engine_name == "batched":
-        if workers != 1:
-            raise ConfigError(
-                "engine='batched' runs in-process; it cannot be combined "
-                "with a process pool (workers must be 1)"
-            )
-        # Imported lazily: the batched core builds on ColocationSim's
-        # module surface, so a top-level import would be circular.
-        from repro.engine.batched import run_batched_cells
-
-        result.outcomes.extend(run_batched_cells(tasks, keys=keys))
-        return result
-    result.outcomes.extend(map_ordered(_run_cell, tasks, workers=workers, keys=keys))
+    unique, fan_out = _dedupe_cells(cells, dedupe)
+    outcomes = _execute_cells(unique, engine_name)
+    result.outcomes.extend(outcomes[i] for i in fan_out)
     return result
 
 
@@ -313,25 +350,25 @@ def plan_cluster_tasks(
     fault_plan: Optional[ClusterFaultPlan] = None,
     guard: Optional[GuardConfig] = None,
     budget: Optional[BudgetConfig] = None,
-) -> Tuple[List[Tuple], ClusterRunResult]:
+) -> Tuple[List[Cell], ClusterRunResult]:
     """Decide every cell of a sweep without executing any of them.
 
-    Returns ``(tasks, skeleton)``: the ordered ``_run_cell`` argument
-    tuples and a :class:`ClusterRunResult` with empty ``outcomes`` but —
+    Returns ``(cells, skeleton)``: the ordered :class:`Cell` list and a
+    :class:`ClusterRunResult` with empty ``outcomes`` but —
     for faulted sweeps — a fully populated :class:`ClusterFaultReport`
     (the crash/recovery/re-placement control flow depends only on the
     fault plan, never on cell outcomes, so it is decidable up front).
 
     This split is what makes crash-safe checkpointing possible: the
     :mod:`repro.runtime` layer plans once, persists completed cells by
-    task index, and on resume re-runs only the incomplete ones —
-    bit-identical because each cell is a pure function of its tuple.
-    ``run_cluster`` itself is ``plan_cluster_tasks`` + ``map_ordered``.
+    index, and on resume re-runs only the incomplete ones —
+    bit-identical because each cell is a pure function of its fields.
+    ``run_cluster`` itself is ``plan_cluster_tasks`` followed by the
+    engine.
 
     With a ``budget``, the lease arbiter is planned first (also pure:
     demand comes from app power models, infra faults are data) and each
-    cell's task tuple gains its :class:`CapSchedule` as a ninth element;
-    unbudgeted tasks keep their historical eight-element shape.
+    cell carries its :class:`CapSchedule`.
     """
     if not plans:
         raise ConfigError("cluster needs at least one server plan")
@@ -349,14 +386,14 @@ def plan_cluster_tasks(
             budget_plan,
         )
     if budget_plan is None:
-        tasks: List[Tuple] = [
-            (plan, spec, level, duration_s, config, plan.be_app, None, guard)
+        cells = [
+            Cell(plan, spec, level, duration_s, config, plan.be_app, None, guard)
             for plan in plans
             for level in levels
         ]
-        return tasks, ClusterRunResult()
+        return cells, ClusterRunResult()
     stats = budget_plan.report.stats
-    budgeted_tasks: List[Tuple] = []
+    budgeted_cells: List[Cell] = []
     for plan in plans:
         name = plan.lc_app.name
         for level_index, level in enumerate(levels):
@@ -367,11 +404,11 @@ def plan_cluster_tasks(
             scale = budget_plan.scale_for(name, level_index)
             if scale != 1.0:
                 stats.shed_cells += 1
-            budgeted_tasks.append((
+            budgeted_cells.append(Cell(
                 plan, spec, level * scale, duration_s, config, be_app,
                 None, guard, budget_plan.schedule_for(name, level_index),
             ))
-    return budgeted_tasks, ClusterRunResult(budget_report=budget_plan.report)
+    return budgeted_cells, ClusterRunResult(budget_report=budget_plan.report)
 
 
 def _replace_displaced(
@@ -429,7 +466,7 @@ def _plan_cluster_faulted(
     fault_plan: ClusterFaultPlan,
     guard: Optional[GuardConfig] = None,
     budget_plan: Optional[BudgetPlan] = None,
-) -> Tuple[List[Tuple], ClusterRunResult]:
+) -> Tuple[List[Cell], ClusterRunResult]:
     """Plan the level-major sweep with crash/recovery/rejoin handling.
 
     Levels are the timeline; each surviving server runs its level cell.
@@ -448,9 +485,9 @@ def _plan_cluster_faulted(
     fault plan — never on cell outcomes — so the timeline is walked
     here to decide every cell (and the full fault report) up front; the
     cells then execute through the engine in timeline order.  With a
-    ``budget_plan``, each emitted task gains its host's
-    :class:`CapSchedule` as a ninth element and brownout evictions /
-    LC sheds are applied per level window.
+    ``budget_plan``, each emitted cell carries its host's
+    :class:`CapSchedule` and brownout evictions / LC sheds are applied
+    per level window.
     """
     known = {plan.lc_app.name for plan in plans}
     for crash in fault_plan.crashes:
@@ -466,7 +503,7 @@ def _plan_cluster_faulted(
         plan.lc_app.name: ([plan.be_app] if plan.be_app is not None else [])
         for plan in plans
     }
-    tasks: List[Tuple] = []
+    cells: List[Cell] = []
     parked: List[Tuple[BestEffortApp, str]] = []
     for level_index, level in enumerate(levels):
         for event in fault_plan.recoveries_at(level_index):
@@ -525,21 +562,15 @@ def _plan_cluster_faulted(
                     budget_plan.report.stats.evicted_cells += 1
                     co_runners = []
             if not co_runners:
-                task: Tuple = (
+                cells.append(Cell(
                     plan, spec, cell_level, duration_s, config, None,
-                    fault_plan.cell_faults, guard,
-                )
-                if budget_plan is not None:
-                    task = task + (schedule,)
-                tasks.append(task)
+                    fault_plan.cell_faults, guard, schedule,
+                ))
                 continue
             share_s = duration_s / len(co_runners)
             for be_app in co_runners:
-                task = (
+                cells.append(Cell(
                     plan, spec, cell_level, share_s, config, be_app,
-                    fault_plan.cell_faults, guard,
-                )
-                if budget_plan is not None:
-                    task = task + (schedule,)
-                tasks.append(task)
-    return tasks, result
+                    fault_plan.cell_faults, guard, schedule,
+                ))
+    return cells, result

@@ -55,3 +55,22 @@ def catalog():
 def rng():
     """A fresh seeded generator per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def batched_engine(monkeypatch):
+    """Resolve ``engine=None`` to the batched core for one test.
+
+    The cluster entry points default to the per-object oracle; this runs
+    the whole call tree under a test on the batched core without
+    threading ``engine="batched"`` through every call site.
+    """
+    from repro.engine import select
+    from repro.runtime import sweep
+    from repro.sim import cluster
+
+    def resolve(engine):
+        return select.resolve_engine("batched" if engine is None else engine)
+
+    for module in (cluster, sweep):
+        monkeypatch.setattr(module, "resolve_engine", resolve)

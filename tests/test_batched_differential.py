@@ -16,8 +16,9 @@ objects field by field with ``==`` on raw floats:
 Coverage spans three manager types (POM, Heracles-balanced,
 Heracles-random), a no-BE plan, three fault schedules exercising all
 six fault types, record- and enforce-mode guards, the ``engine`` knob
-on :func:`~repro.sim.cluster.run_cluster` (dedupe on and off), and a
-real mid-sweep SIGKILL resumed under the *other* engine.
+on :func:`~repro.sim.cluster.run_cluster` (dedupe on and off, and the
+default), and a real mid-sweep SIGKILL resumed under the
+*other* engine.
 """
 
 import signal
@@ -32,8 +33,7 @@ import pytest
 from repro.core.server_manager import HeraclesLikeManager
 from repro.engine.batched import partition_cells, run_batched_cells
 from repro.engine.parallel import map_ordered
-from repro.engine.select import default_engine
-from repro.errors import ConfigError
+from repro.engine.select import resolve_engine
 from repro.evaluation.pipeline import (
     ServerPlan,
     cluster_plans,
@@ -52,7 +52,7 @@ from repro.faults.schedule import (
 )
 from repro.guard.invariants import GuardConfig
 from repro.runtime import Checkpoint, run_cluster_checkpointed
-from repro.sim.cluster import _run_cell, run_cluster
+from repro.sim.cluster import Cell, _run_cell, run_cluster
 from repro.sim.colocation import SimConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -127,7 +127,7 @@ def mixed_plans(catalog):
 
 def _tasks(plans, spec, levels, duration_s, config, faults=None, guard=None):
     return [
-        (plan, spec, level, duration_s, config, plan.be_app, faults, guard)
+        Cell(plan, spec, level, duration_s, config, plan.be_app, faults, guard)
         for plan in plans
         for level in levels
     ]
@@ -255,7 +255,7 @@ class TestGuardReportDifferential:
             except Exception as exc:  # noqa: BLE001 - comparing raises
                 return type(exc).__name__, str(exc)
 
-        oracle = outcome(map_ordered, _run_cell, tasks, workers=1)
+        oracle = outcome(map_ordered, _run_cell, tasks)
         batched = outcome(run_batched_cells, tasks)
         assert oracle is not None, "enforce scenario must raise"
         assert oracle == batched
@@ -269,7 +269,7 @@ class TestEngineKnob:
             levels=(0.2, 0.6), duration_s=7.0,
             config=SimConfig(seed=3), guard=GuardConfig(),
         )
-        base = run_cluster(mixed_plans, catalog.spec, **kwargs)
+        base = run_cluster(mixed_plans, catalog.spec, engine="object", **kwargs)
         for dedupe in (False, True):
             got = run_cluster(
                 mixed_plans, catalog.spec, dedupe=dedupe,
@@ -280,25 +280,21 @@ class TestEngineKnob:
                 assert_outcome_equal(a, b, f"dedupe={dedupe}")
 
     def test_default_engine_context(self, catalog, mixed_plans):
+        """The default engine is the oracle, equal to the batched core."""
+        assert resolve_engine(None) == "object"
         kwargs = dict(levels=(0.5,), duration_s=5.0, config=SimConfig(seed=3))
-        base = run_cluster(mixed_plans[:2], catalog.spec, **kwargs)
-        with default_engine("batched"):
-            got = run_cluster(mixed_plans[:2], catalog.spec, **kwargs)
+        base = run_cluster(
+            mixed_plans[:2], catalog.spec, engine="batched", **kwargs
+        )
+        got = run_cluster(mixed_plans[:2], catalog.spec, **kwargs)
+        assert len(got.outcomes) == len(base.outcomes) == 2
         for a, b in zip(base.outcomes, got.outcomes):
-            assert_outcome_equal(a, b, "ctx")
-
-    def test_batched_refuses_process_pool(self, catalog, mixed_plans):
-        with pytest.raises(ConfigError, match="workers must be 1"):
-            run_cluster(
-                mixed_plans[:1], catalog.spec, levels=(0.5,),
-                duration_s=3.0, config=SimConfig(seed=0),
-                workers=2, engine="batched",
-            )
+            assert_outcome_equal(a, b, "default")
 
     def test_run_policy_engines_agree(self, catalog):
         kwargs = dict(levels=(0.2, 0.6), duration_s=7.0,
                       sim_config=SimConfig(seed=3))
-        base = run_policy(catalog, "pocolo", **kwargs)
+        base = run_policy(catalog, "pocolo", engine="object", **kwargs)
         got = run_policy(catalog, "pocolo", engine="batched", **kwargs)
         assert len(base.outcomes) == len(got.outcomes)
         for a, b in zip(base.outcomes, got.outcomes):
@@ -337,8 +333,11 @@ if __name__ == "__main__":
     from repro.runtime import run_cluster_checkpointed
 
     plans, spec, kwargs = build_sweep()
+    # The object engine checkpoints each cell as it finishes, so the
+    # parent can kill the child between cells.
     run_cluster_checkpointed(
-        plans, spec, sys.argv[1], resume=True, checkpoint_every=1, **kwargs
+        plans, spec, sys.argv[1], resume=True, checkpoint_every=1,
+        engine="object", **kwargs
     )
 """
 
@@ -361,7 +360,8 @@ class TestCrossEngineResume:
             config=SimConfig(seed=3), guard=GuardConfig(),
         )
         clean = run_cluster_checkpointed(
-            mixed_plans, catalog.spec, tmp_path / "clean.ckpt", **kwargs
+            mixed_plans, catalog.spec, tmp_path / "clean.ckpt",
+            engine="object", **kwargs
         )
         # Full batched run equals the object run outright.
         batched = run_cluster_checkpointed(
@@ -392,16 +392,6 @@ class TestCrossEngineResume:
             )
             for a, b in zip(clean.outcomes, resumed.outcomes):
                 assert_outcome_equal(a, b, f"{source}->{resume_engine}")
-
-    def test_batched_refuses_supervisor(self, catalog, mixed_plans, tmp_path):
-        from repro.engine.parallel import SupervisedPool
-
-        with pytest.raises(ConfigError, match="SupervisedPool"):
-            run_cluster_checkpointed(
-                mixed_plans[:1], catalog.spec, tmp_path / "x.ckpt",
-                levels=(0.5,), duration_s=3.0, config=SimConfig(seed=0),
-                engine="batched", supervisor=SupervisedPool(workers=1),
-            )
 
     def test_sigkill_then_batched_resume(self, tmp_path):
         """A real SIGKILL mid-sweep; the survivor resumes batched."""
@@ -444,7 +434,7 @@ class TestCrossEngineResume:
         resumed = run_cluster_checkpointed(
             plans, spec, ckpt, resume=True, engine="batched", **kwargs
         )
-        clean = run_cluster(plans, spec, **kwargs)
+        clean = run_cluster(plans, spec, engine="object", **kwargs)
         assert len(resumed.outcomes) == len(clean.outcomes) == 6
         for a, b in zip(clean.outcomes, resumed.outcomes):
             assert_outcome_equal(a, b, "sigkill-resume")

@@ -32,7 +32,7 @@ from repro.evaluation.pipeline import (
     placement_for_policy,
 )
 from repro.guard.invariants import GuardConfig
-from repro.sim.cluster import _run_cell
+from repro.sim.cluster import Cell, _run_cell
 from repro.sim.colocation import SimConfig
 
 from tests.test_batched_differential import (
@@ -69,7 +69,7 @@ def _fixture():
         config = SimConfig(warmup_s=2.0, seed=4)
         guard = GuardConfig(deep_check_every=3)
         tasks = [
-            (plan, catalog.spec, level, 5.0, config, plan.be_app, None, guard)
+            Cell(plan, catalog.spec, level, 5.0, config, plan.be_app, None, guard)
             for plan in plans
             for level in (0.0, 0.5, 0.9)
         ]

@@ -4,10 +4,9 @@ The engine's contract is *bit-identity*, not approximation:
 
 * the vectorized performance matrix reproduces the retained loop
   reference (``_build_performance_matrix_reference``) cell for cell;
-* ``run_cluster(workers=N)`` and ``run_cluster(dedupe=True)`` reproduce
-  the ``workers=1`` serial sweep exactly, across sim seeds and with a
-  fault plan active (crashes, recovery, re-placement, cell faults);
-* the pooled policy sweep reproduces the serial sweep.
+* ``run_cluster(dedupe=True)`` reproduces the plain sweep exactly on
+  both engines, across sim seeds and with a fault plan active (crashes,
+  recovery, re-placement, cell faults), and both engines agree.
 
 Exact float equality (``==`` / ``np.array_equal``) is deliberate: any
 last-bit drift means the fast path computed something different, and a
@@ -27,11 +26,11 @@ from repro.core.utility import (
     IndirectUtilityModel,
     LinearPowerParams,
 )
+from repro.engine.select import ENGINES
 from repro.engine.vectorized import (
     build_performance_matrix_vectorized,
     clear_engine_caches,
 )
-from repro.evaluation.colocation_eval import evaluate_policy
 from repro.evaluation.pipeline import (
     cluster_plans,
     fit_catalog,
@@ -154,17 +153,6 @@ class TestMatrixDifferential:
 
 class TestClusterDifferential:
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_workers_bit_identical(self, catalog, seed):
-        placement = placement_for_policy(catalog, "pocolo")
-        plans = cluster_plans(catalog, placement, "pocolo")[:2]
-        kwargs = dict(
-            levels=(0.3, 0.7), duration_s=4.0, config=SimConfig(seed=seed)
-        )
-        serial = run_cluster(plans, catalog.spec, **kwargs)
-        pooled = run_cluster(plans, catalog.spec, workers=2, **kwargs)
-        assert _flatten(pooled) == _flatten(serial)
-
-    @pytest.mark.parametrize("seed", [0, 3])
     def test_dedupe_bit_identical(self, catalog, seed):
         placement = placement_for_policy(catalog, "pocolo")
         base = cluster_plans(catalog, placement, "pocolo")[:2]
@@ -172,9 +160,28 @@ class TestClusterDifferential:
         kwargs = dict(
             levels=(0.3, 0.7), duration_s=4.0, config=SimConfig(seed=seed)
         )
-        serial = run_cluster(plans, catalog.spec, **kwargs)
-        deduped = run_cluster(plans, catalog.spec, dedupe=True, **kwargs)
-        assert _flatten(deduped) == _flatten(serial)
+        serial = run_cluster(plans, catalog.spec, engine="object", **kwargs)
+        for engine in ENGINES:
+            deduped = run_cluster(
+                plans, catalog.spec, dedupe=True, engine=engine, **kwargs
+            )
+            assert _flatten(deduped) == _flatten(serial), engine
+
+    def test_no_cell_keys_without_dedupe(self, catalog, monkeypatch):
+        from repro.sim import cluster
+
+        def no_keys(cell):
+            raise AssertionError("cell key computed with dedupe off")
+
+        monkeypatch.setattr(cluster, "_cell_key", no_keys)
+        placement = placement_for_policy(catalog, "pocolo")
+        plans = cluster_plans(catalog, placement, "pocolo")[:2]
+        for engine in ENGINES:
+            result = run_cluster(
+                plans, catalog.spec, levels=(0.5,), duration_s=2.0,
+                engine=engine,
+            )
+            assert len(result.outcomes) == 2
 
     def test_faulted_run_bit_identical(self, catalog):
         placement = placement_for_policy(catalog, "pocolo")
@@ -196,12 +203,14 @@ class TestClusterDifferential:
             levels=(0.2, 0.4, 0.6, 0.8), duration_s=4.0,
             config=SimConfig(seed=5), fault_plan=fault_plan,
         )
-        serial = run_cluster(plans, catalog.spec, **kwargs)
-        pooled = run_cluster(plans, catalog.spec, workers=2, **kwargs)
-        deduped = run_cluster(plans, catalog.spec, dedupe=True, **kwargs)
-        assert _flatten(pooled) == _flatten(serial)
-        assert _flatten(deduped) == _flatten(serial)
-        for other in (pooled, deduped):
+        serial = run_cluster(plans, catalog.spec, engine="object", **kwargs)
+        others = [
+            run_cluster(plans, catalog.spec, dedupe=dedupe, engine=engine, **kwargs)
+            for engine in ENGINES
+            for dedupe in (False, True)
+        ]
+        for other in others:
+            assert _flatten(other) == _flatten(serial)
             assert (
                 other.fault_report.crashes_handled,
                 other.fault_report.recoveries_handled,
@@ -216,22 +225,10 @@ class TestClusterDifferential:
 
     def test_run_policy_knobs_bit_identical(self, catalog):
         kwargs = dict(levels=(0.4, 0.8), duration_s=4.0, seed=1)
-        serial = run_policy(catalog, "pom", **kwargs)
-        pooled = run_policy(catalog, "pom", workers=2, **kwargs)
-        deduped = run_policy(catalog, "pom", dedupe=True, **kwargs)
-        assert _flatten(pooled) == _flatten(serial)
-        assert _flatten(deduped) == _flatten(serial)
-
-
-class TestPipelineDifferential:
-    def test_pooled_policy_sweep_bit_identical(self, catalog):
-        kwargs = dict(
-            placement_seeds=range(3), levels=(0.3, 0.7), duration_s=3.0
-        )
-        serial = evaluate_policy(catalog, "random", **kwargs)
-        pooled = evaluate_policy(catalog, "random", workers=2, **kwargs)
-        assert [_flatten(r) for r in pooled.runs] == [
-            _flatten(r) for r in serial.runs
-        ]
-        assert pooled.be_throughput_by_server == serial.be_throughput_by_server
-        assert pooled.cluster_power_utilization == serial.cluster_power_utilization
+        serial = run_policy(catalog, "pom", engine="object", **kwargs)
+        for engine in ENGINES:
+            for dedupe in (False, True):
+                got = run_policy(
+                    catalog, "pom", dedupe=dedupe, engine=engine, **kwargs
+                )
+                assert _flatten(got) == _flatten(serial), (engine, dedupe)

@@ -19,7 +19,6 @@ import pathlib
 
 import pytest
 
-from repro.engine.select import default_engine
 from repro.evaluation import reports
 from repro.evaluation.pipeline import fit_catalog
 
@@ -33,6 +32,7 @@ def catalog():
 
 @pytest.mark.parametrize("filename,builder", reports.GOLDEN_REPORTS)
 def test_golden_report_matches_committed(catalog, filename, builder):
+    """The default engine regenerates each snapshot byte for byte."""
     committed = (OUT_DIR / filename).read_text()
     regenerated = getattr(reports, builder)(catalog) + "\n"
     assert regenerated == committed, (
@@ -44,18 +44,17 @@ def test_golden_report_matches_committed(catalog, filename, builder):
 
 @pytest.mark.parametrize("filename,builder", reports.GOLDEN_REPORTS)
 def test_golden_report_matches_under_batched_engine(
-    catalog, filename, builder
+    catalog, filename, builder, batched_engine
 ):
     """The engine knob must not leak into report rendering.
 
     Selecting the batched simulation core changes *how* sweeps execute,
     never *what* any artifact contains — the pinned ablation reports
-    regenerate byte-for-byte with ``engine="batched"`` as the session
-    default.
+    regenerate byte-for-byte with ``engine=None`` resolving to
+    ``"batched"`` for the whole call tree.
     """
     committed = (OUT_DIR / filename).read_text()
-    with default_engine("batched"):
-        regenerated = getattr(reports, builder)(catalog) + "\n"
+    regenerated = getattr(reports, builder)(catalog) + "\n"
     assert regenerated == committed, (
         f"{filename} drifted when regenerated under engine='batched'; "
         "the engine selection must be result-invariant"

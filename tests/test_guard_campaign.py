@@ -87,7 +87,6 @@ class TestConfigValidation:
         {"mean_duration_s": 0.0},
         {"max_faults": 0},
         {"shrink_budget": -1},
-        {"workers": 0},
     ])
     def test_bad_campaign_knobs_rejected(self, kwargs):
         with pytest.raises(ConfigError):

@@ -411,7 +411,7 @@ class TestDeliberateViolationCanary:
         source = source.replace(
             "def map_ordered(",
             "import time\n\n\ndef _stamp():\n    return time.time()\n\n\ndef map_ordered(",
-            1,  # the module-level function only, not SupervisedPool's method
+            1,  # the first definition only
         )
         target.write_text(source)
         proc = subprocess.run(

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.server_manager import HeraclesLikeManager, PowerOptimizedManager
-from repro.engine.parallel import SupervisedPool
+from repro.engine.select import ENGINES
 from repro.errors import CheckpointError, ConfigError
 from repro.evaluation.pipeline import PomFactory
 from repro.faults.cluster import ClusterFaultPlan, ServerCrash
@@ -381,26 +381,47 @@ class TestCheckpointedSweep:
             plans, catalog.spec, **self.KWARGS
         )
 
-    def test_resume_skips_completed_cells(self, catalog, tmp_path):
+    def test_resume_skips_completed_cells(self, catalog, tmp_path, monkeypatch):
+        """Only the cells missing from the checkpoint re-run, either engine."""
+        from repro.engine import batched
+        from repro.sim import cluster
+
         plans = _plans(catalog, [("xapian", "rnn"), ("sphinx", "graph")])
-        path = tmp_path / "sweep.ckpt"
-        full = run_cluster_checkpointed(
-            plans, catalog.spec, path, **self.KWARGS
-        )
-        # Simulate a crash after one cell: truncate the completed map.
-        checkpoint = Checkpoint.load(path)
-        survivor = {0: checkpoint.payload["completed"][0]}
-        Checkpoint(
-            run_key=checkpoint.run_key,
-            payload={**checkpoint.payload, "completed": survivor},
-        ).save(path)
-        supervisor = SupervisedPool(workers=1)
-        resumed = run_cluster_checkpointed(
-            plans, catalog.spec, path, resume=True, supervisor=supervisor,
-            **self.KWARGS,
-        )
-        assert _flatten(resumed) == _flatten(full)
-        assert supervisor.stats.tasks_completed == 3  # 4 cells, 1 survived
+        cells, _ = cluster.plan_cluster_tasks(plans, catalog.spec, **self.KWARGS)
+        ran = []
+        run_cell, run_batched_cells = cluster._run_cell, batched.run_batched_cells
+
+        def counting_cell(*cell):
+            ran.append(cell)
+            return run_cell(*cell)
+
+        def counting_batched_cells(tasks, on_result=None):
+            ran.extend(tasks)
+            return run_batched_cells(tasks, on_result=on_result)
+
+        monkeypatch.setattr(cluster, "_run_cell", counting_cell)
+        monkeypatch.setattr(batched, "run_batched_cells", counting_batched_cells)
+        for engine in ENGINES:
+            path = tmp_path / f"sweep-{engine}.ckpt"
+            full = run_cluster_checkpointed(
+                plans, catalog.spec, path, engine=engine, **self.KWARGS
+            )
+            assert ran == cells, engine
+            # Simulate a crash after one cell: truncate the completed map.
+            checkpoint = Checkpoint.load(path)
+            survivor = {0: checkpoint.payload["completed"][0]}
+            Checkpoint(
+                run_key=checkpoint.run_key,
+                payload={**checkpoint.payload, "completed": survivor},
+            ).save(path)
+            ran.clear()
+            resumed = run_cluster_checkpointed(
+                plans, catalog.spec, path, resume=True, engine=engine,
+                **self.KWARGS,
+            )
+            assert _flatten(resumed) == _flatten(full)
+            assert ran == cells[1:], engine  # 4 cells, 1 survived
+            ran.clear()
 
     def test_resume_with_missing_file_starts_fresh(self, catalog, tmp_path):
         plans = _plans(catalog, [("xapian", "rnn")])
@@ -503,7 +524,7 @@ class TestCrashResumeProperty:
         if key not in self._clean_cache:
             plans, kwargs = self._sweep(catalog, seed, faulted)
             self._clean_cache[key] = _flatten(
-                run_cluster(plans, catalog.spec, **kwargs)
+                run_cluster(plans, catalog.spec, engine="object", **kwargs)
             )
         return self._clean_cache[key]
 
@@ -513,17 +534,17 @@ class TestCrashResumeProperty:
     )
     @given(
         seed=st.integers(min_value=0, max_value=3),
-        workers=st.sampled_from([1, 2]),
+        engine=st.sampled_from(ENGINES),
         faulted=st.booleans(),
         kill_after=st.integers(min_value=0, max_value=4),
     )
     def test_kill_and_resume_bit_identical(
-        self, catalog, tmp_path_factory, seed, workers, faulted, kill_after
+        self, catalog, tmp_path_factory, seed, engine, faulted, kill_after
     ):
         plans, kwargs = self._sweep(catalog, seed, faulted)
         path = tmp_path_factory.mktemp("ckpt") / "sweep.ckpt"
         run_cluster_checkpointed(
-            plans, catalog.spec, path, workers=workers, **kwargs
+            plans, catalog.spec, path, engine=engine, **kwargs
         )
         # Roll the checkpoint back to the moment of the simulated crash:
         # only the first ``kill_after`` completed cells survived.
@@ -535,7 +556,7 @@ class TestCrashResumeProperty:
             payload={**checkpoint.payload, "completed": survivors},
         ).save(path)
         resumed = run_cluster_checkpointed(
-            plans, catalog.spec, path, resume=True, workers=workers, **kwargs
+            plans, catalog.spec, path, resume=True, engine=engine, **kwargs
         )
         assert _flatten(resumed) == self._clean_flat(catalog, seed, faulted)
 
@@ -572,8 +593,11 @@ if __name__ == "__main__":
     from repro.runtime import run_cluster_checkpointed
 
     plans, spec, kwargs = build_sweep()
+    # The object engine checkpoints each cell as it finishes, so the
+    # parent can kill the child between cells.
     run_cluster_checkpointed(
-        plans, spec, sys.argv[1], resume=True, checkpoint_every=1, **kwargs
+        plans, spec, sys.argv[1], resume=True, checkpoint_every=1,
+        engine="object", **kwargs
     )
 """
 
@@ -626,6 +650,6 @@ class TestSigkillResume:
         resumed = run_cluster_checkpointed(
             plans, spec, ckpt, resume=True, **kwargs
         )
-        clean = run_cluster(plans, spec, **kwargs)
+        clean = run_cluster(plans, spec, engine="object", **kwargs)
         assert _flatten(resumed) == _flatten(clean)
         assert Checkpoint.load(ckpt).extra["cells_done"] == 6
