@@ -17,7 +17,7 @@ Three demonstrations of the `repro.faults` subsystem:
 Run:  python examples/fault_injection.py
 """
 
-from repro.analysis import format_degradation
+from repro.analysis import FAULT_COLUMNS, counter_map, format_counters
 from repro.core.server_manager import PowerOptimizedManager
 from repro.evaluation import cluster_plans, fit_catalog, placement_for_policy
 from repro.faults import (
@@ -89,11 +89,11 @@ def main() -> None:
           f"(fault-free: {clean.slo_violation_fraction:.3f})")
     print(f"  model-distrust fallbacks: {faulted.manager_stats.model_fallbacks}")
     print()
-    print(format_degradation([
-        ("fault-free", clean.cap_stats, clean.manager_stats),
-        ("stuck meter", stuck.cap_stats, stuck.manager_stats),
-        ("stale model", faulted.cap_stats, faulted.manager_stats),
-    ]))
+    print(format_counters([
+        ("fault-free", counter_map(clean)),
+        ("stuck meter", counter_map(stuck)),
+        ("stale model", counter_map(faulted)),
+    ], FAULT_COLUMNS, title="Degradation under faults"))
     print()
 
     # ------------------------------------------------------------------

@@ -46,7 +46,7 @@ from repro.runtime import run_cluster_checkpointed
 # lands between cells; the batched engine would checkpoint only at the end.
 run_cluster_checkpointed(
     build_plans(), REFERENCE_SPEC, sys.argv[1], levels=LEVELS,
-    duration_s=DURATION_S, config=CONFIG, resume=True, checkpoint_every=1,
+    duration_s=DURATION_S, config=CONFIG, resume=True,
     engine="object",
 )
 """

@@ -34,7 +34,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis import format_table
+from repro.analysis import BUDGET_COLUMNS, counter_map, format_counters, format_table
 from repro.errors import ConfigError
 from repro.evaluation import (
     evaluate_all_policies,
@@ -227,7 +227,7 @@ def cmd_run(catalog, args) -> None:
     result = run_policy(
         catalog, args.policy, duration_s=args.duration,
         checkpoint_path=checkpoint_path,
-        resume=args.resume, checkpoint_every=args.checkpoint_every,
+        resume=args.resume,
         budget=budget,
     )
     servers = result.servers()
@@ -246,11 +246,10 @@ def cmd_run(catalog, args) -> None:
     print(f"cluster power util     {result.cluster_power_utilization():.3f}")
     print(f"cluster SLO violations {result.cluster_violation_fraction():.3f}")
     if result.budget_report is not None:
-        from repro.analysis.reporting import format_budget_degradation
-
         print()
-        print(format_budget_degradation(
-            [(args.policy, result.budget_report)],
+        print(format_counters(
+            [(args.policy, counter_map(result))], BUDGET_COLUMNS,
+            title="Degradation under power budgets",
         ))
 
 
@@ -308,8 +307,7 @@ def cmd_guard(catalog, args) -> None:
         o.result.guard_report for o in result.outcomes
         if o.result.guard_report is not None
     ]
-    checks = sum(r.checks for r in reports)
-    total = sum(r.total_violations for r in reports)
+    counters = counter_map(result)
     by_invariant: dict = {}
     for report in reports:
         for violation in report.violations:
@@ -320,8 +318,9 @@ def cmd_guard(catalog, args) -> None:
     if rows:
         print(format_table(["invariant", "violations"], rows,
                            title=f"Guarded {args.policy!r} sweep"))
-    print(f"\n{len(reports)} cells, {checks} invariant checks, "
-          f"{total} violations ({args.guard_mode} mode)")
+    print(f"\n{len(reports)} cells, {counters.get('guard.checks', 0)} "
+          f"invariant checks, {counters.get('guard.violations', 0)} "
+          f"violations ({args.guard_mode} mode)")
     if args.ledger:
         print(f"ledger written to {args.ledger}")
 
@@ -345,10 +344,6 @@ def main(argv=None) -> int:
                         help="directory for the run command's checkpoint file")
     parser.add_argument("--resume", action="store_true",
                         help="continue the run from its checkpoint")
-    parser.add_argument("--checkpoint-every", type=int, default=1,
-                        help="cells completed between checkpoint writes "
-                             "(run; cells land one by one on the default "
-                             "object engine)")
     parser.add_argument("--guard-mode", choices=("record", "enforce"),
                         default="record",
                         help="guard command: record violations or fail fast")

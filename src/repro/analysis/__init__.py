@@ -1,9 +1,11 @@
 """Analysis utilities: reporting tables and resampling statistics."""
 
 from repro.analysis.reporting import (
+    BUDGET_COLUMNS,
+    FAULT_COLUMNS,
+    counter_map,
     format_cell,
-    format_budget_degradation,
-    format_degradation,
+    format_counters,
     format_series,
     format_table,
     percent_change,
@@ -16,13 +18,15 @@ from repro.analysis.stats import (
 )
 
 __all__ = [
+    "BUDGET_COLUMNS",
+    "FAULT_COLUMNS",
     "Summary",
     "bootstrap_ci",
     "paired_diff_ci",
     "relative_gain_ci",
+    "counter_map",
     "format_cell",
-    "format_budget_degradation",
-    "format_degradation",
+    "format_counters",
     "format_series",
     "format_table",
     "percent_change",

@@ -7,7 +7,8 @@ review workflow.  No plotting dependencies.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+import dataclasses
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 
@@ -98,80 +99,115 @@ def percent_change(new: float, old: float) -> float:
     return new / old - 1.0
 
 
-def format_degradation(
-    rows: Sequence[Sequence[Cell]],
-    precision: int = 3,
-    title: str = "Degradation under faults",
-) -> str:
-    """Render the graceful-degradation table of one or more runs.
+def _add_stats(counters: Dict[str, int], prefix: str, stats: Any) -> None:
+    for name, value in dataclasses.asdict(stats).items():
+        key = f"{prefix}.{name}"
+        counters[key] = counters.get(key, 0) + int(value)
 
-    Each row is ``(label, cap_stats, manager_stats)`` where the stats are
-    the :class:`~repro.hwmodel.capping.CapStats` and
-    :class:`~repro.core.server_manager.ManagerStats` of a run — this is
-    the evaluation-table view of the fault counters (safe-mode activity,
-    model-distrust fallbacks, solver fallbacks; see ``docs/FAULTS.md``).
-    """
-    table_rows: List[List[Cell]] = []
-    for row in rows:
-        if len(row) != 3:
-            raise ConfigError(
-                "degradation rows are (label, cap_stats, manager_stats)"
-            )
-        label, cap, mgr = row
-        table_rows.append([
-            str(label),
-            cap.safe_mode_steps,
-            cap.safe_mode_fraction,
-            cap.watchdog_trips,
-            cap.over_cap_fraction,
-            mgr.model_fallbacks,
-            mgr.model_fallback_fraction,
-            mgr.solver_fallbacks,
-        ])
-    return format_table(
-        ["run", "safe steps", "safe frac", "wd trips", "over-cap frac",
-         "model fb", "model fb frac", "solver fb"],
-        table_rows, precision=precision, title=title,
+
+def _add_guard(counters: Dict[str, int], report: Any) -> None:
+    if report is None:
+        return
+    counters["guard.checks"] = counters.get("guard.checks", 0) + report.checks
+    counters["guard.violations"] = (
+        counters.get("guard.violations", 0) + report.total_violations
     )
 
 
-def format_budget_degradation(
-    rows: Sequence[Sequence[Cell]],
-    precision: int = 3,
-    title: str = "Degradation under power budgets",
-) -> str:
-    """Render the budget-arbiter degradation table of one or more runs.
+def counter_map(result: Any) -> Dict[str, int]:
+    """Flatten one run's control-stack counters into one namespaced map.
 
-    Each row is ``(label, budget_report)`` where the report is the
-    :class:`~repro.budget.arbiter.BudgetReport` of a budgeted cluster
-    run — the evaluation-table view of the lease/brownout counters:
-    arbiter ticks lost to crashes, grants expired back to the fail-safe
-    floor, grant messages lost or delayed in flight, the deepest
-    brownout stage reached and the cells it evicted or shed (see
-    ``docs/BUDGETS.md``).
+    ``result`` is a :class:`~repro.sim.colocation.ColocationResult` or a
+    :class:`~repro.sim.cluster.ClusterRunResult`; a cluster run sums its
+    cells.  Keys:
+
+    * ``cap.<field>`` — :class:`~repro.hwmodel.capping.CapStats`;
+    * ``manager.<field>`` — :class:`~repro.core.server_manager.ManagerStats`;
+    * ``budget.<field>`` and ``budget.max_stage`` —
+      :class:`~repro.budget.arbiter.BudgetStats` and the deepest brownout
+      stage, on budgeted cluster runs only;
+    * ``guard.checks`` and ``guard.violations`` — every guard report of
+      the run (cells and the plan-time budget audit), on guarded runs
+      only.
+
+    This is the one way reports, chaos-campaign coverage and the CLI read
+    degradation counters (see ``docs/FAULTS.md``).
     """
+    outcomes = getattr(result, "outcomes", None)
+    cells = [result] if outcomes is None else [o.result for o in outcomes]
+    counters: Dict[str, int] = {}
+    for cell in cells:
+        _add_stats(counters, "cap", cell.cap_stats)
+        _add_stats(counters, "manager", cell.manager_stats)
+        _add_guard(counters, cell.guard_report)
+    budget_report = getattr(result, "budget_report", None)
+    if budget_report is not None:
+        _add_stats(counters, "budget", budget_report.stats)
+        counters["budget.max_stage"] = budget_report.max_stage()
+        _add_guard(counters, budget_report.guard_report)
+    return counters
+
+
+#: A counter-table column: its header and either one counter-map key or
+#: a ``(numerator, denominator)`` key pair shown as a ratio (0.0 when the
+#: denominator is zero).
+Column = Tuple[str, Union[str, Tuple[str, str]]]
+
+#: Graceful degradation under faults: safe-mode activity, watchdog trips,
+#: model-distrust and solver fallbacks (see ``docs/FAULTS.md``).
+FAULT_COLUMNS: Tuple[Column, ...] = (
+    ("safe steps", "cap.safe_mode_steps"),
+    ("safe frac", ("cap.safe_mode_steps", "cap.samples")),
+    ("wd trips", "cap.watchdog_trips"),
+    ("over-cap frac", ("cap.over_cap_samples", "cap.samples")),
+    ("model fb", "manager.model_fallbacks"),
+    ("model fb frac", ("manager.model_fallback_steps", "manager.control_steps")),
+    ("solver fb", "manager.solver_fallbacks"),
+)
+
+#: The lease/brownout counters of a budgeted run: arbiter ticks lost to
+#: crashes, grants expired, lost or delayed, the deepest brownout stage
+#: and the cells it evicted or shed (see ``docs/BUDGETS.md``).
+BUDGET_COLUMNS: Tuple[Column, ...] = (
+    ("ticks", "budget.ticks"),
+    ("skipped", "budget.skipped_ticks"),
+    ("granted", "budget.grants_issued"),
+    ("expired", "budget.grants_expired"),
+    ("lost", "budget.grants_lost"),
+    ("delayed", "budget.grants_delayed"),
+    ("max stage", "budget.max_stage"),
+    ("evicted", "budget.evicted_cells"),
+    ("shed", "budget.shed_cells"),
+)
+
+
+def format_counters(
+    rows: Sequence[Tuple[str, Mapping[str, int]]],
+    columns: Sequence[Column],
+    title: str = "",
+    precision: int = 3,
+) -> str:
+    """Render ``(label, counter map)`` rows (see :func:`counter_map`)."""
+    def lookup(label: str, counters: Mapping[str, int], key: str) -> int:
+        if key not in counters:
+            raise ConfigError(f"run {label!r} has no counter {key!r}")
+        return counters[key]
+
     table_rows: List[List[Cell]] = []
     for row in rows:
         if len(row) != 2:
-            raise ConfigError(
-                "budget degradation rows are (label, budget_report)"
-            )
-        label, report = row
-        stats = report.stats
-        table_rows.append([
-            str(label),
-            stats.ticks,
-            stats.skipped_ticks,
-            stats.grants_issued,
-            stats.grants_expired,
-            stats.grants_lost,
-            stats.grants_delayed,
-            report.max_stage(),
-            stats.evicted_cells,
-            stats.shed_cells,
-        ])
+            raise ConfigError("counter rows are (label, counter map)")
+        label, counters = row
+        cells: List[Cell] = [str(label)]
+        for _, key in columns:
+            if isinstance(key, str):
+                cells.append(lookup(label, counters, key))
+            else:
+                num = lookup(label, counters, key[0])
+                den = lookup(label, counters, key[1])
+                cells.append(num / den if den else 0.0)
+        table_rows.append(cells)
     return format_table(
-        ["run", "ticks", "skipped", "granted", "expired", "lost",
-         "delayed", "max stage", "evicted", "shed"],
+        ["run"] + [header for header, _ in columns],
         table_rows, precision=precision, title=title,
     )

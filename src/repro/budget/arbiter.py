@@ -26,12 +26,13 @@ consume the identical plan — the foundation of the bit-exactness the
 differential tests pin.
 
 The two budget invariants (grant conservation, rack overcommit) are
-audited here, over the planned timeline, via :class:`BudgetAuditor`.
+audited here, over the planned timeline, by a
+:class:`~repro.guard.monitor.GuardMonitor` built on
+:meth:`~repro.guard.invariants.InvariantRegistry.budget`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -41,8 +42,6 @@ from repro.budget.brownout import (
     STAGE_SHED,
     BrownoutLadder,
     BrownoutState,
-    state_from_data,
-    state_to_data,
 )
 from repro.budget.fairness import (
     FAIRNESS_MAX_MIN,
@@ -51,7 +50,7 @@ from repro.budget.fairness import (
 )
 from repro.budget.schedule import CapSchedule
 from repro.budget.tree import BudgetTree, RackNode, build_tree
-from repro.errors import CheckpointError, ConfigError, InvariantViolationError
+from repro.errors import ConfigError
 from repro.faults.cluster import ClusterFaultPlan
 from repro.faults.schedule import (
     ArbiterCrash,
@@ -63,13 +62,11 @@ from repro.faults.schedule import (
 )
 from repro.guard.invariants import (
     BudgetSample,
-    BudgetTreeInvariant,
-    GrantConservationInvariant,
     GuardConfig,
     GuardReport,
-    RackOvercommitInvariant,
-    Violation,
+    InvariantRegistry,
 )
+from repro.guard.monitor import GuardMonitor
 
 
 @dataclass(frozen=True)
@@ -204,71 +201,13 @@ class BudgetStats:
     shed_cells: int = 0
 
 
-class BudgetAuditor:
-    """Feeds :class:`BudgetSample` snapshots to the budget invariants.
-
-    The budget counterpart of :class:`repro.guard.monitor.GuardMonitor`:
-    ``record`` mode collects violations into a
-    :class:`~repro.guard.invariants.GuardReport`, ``enforce`` mode
-    raises :class:`~repro.errors.InvariantViolationError` on the first.
-    With no guard configured it is inert (zero planning overhead).
-    """
-
-    def __init__(self, guard: Optional[GuardConfig]) -> None:
-        self.guard = guard
-        self._invariants: List[BudgetTreeInvariant] = (
-            []
-            if guard is None
-            else [GrantConservationInvariant(), RackOvercommitInvariant()]
-        )
-        self._checks = 0
-        self._total_violations = 0
-        self._violations: List[Violation] = []
-
-    @property
-    def enabled(self) -> bool:
-        """False when inert — callers skip building samples entirely."""
-        return self.guard is not None
-
-    def observe(self, sample: BudgetSample) -> None:
-        """Run every budget invariant against one node sample."""
-        guard = self.guard
-        if guard is None:
-            return
-        for invariant in self._invariants:
-            self._checks += 1
-            violation = invariant.observe(sample)
-            if violation is None:
-                continue
-            self._total_violations += 1
-            if len(self._violations) < guard.max_violations:
-                self._violations.append(violation)
-            if guard.enforcing:
-                raise InvariantViolationError(
-                    f"budget invariant violated in enforce mode: "
-                    f"{violation.render()}"
-                )
-
-    def report(self) -> Optional[GuardReport]:
-        """The audit outcome (None when no guard was configured)."""
-        if self.guard is None:
-            return None
-        return GuardReport(
-            mode=self.guard.mode,
-            checks=self._checks,
-            total_violations=self._total_violations,
-            violations=tuple(self._violations),
-        )
-
-
 class BudgetArbiter:
     """The stateful broker: one :meth:`tick` per arbiter period.
 
-    Holds the grant ledger and each rack's brownout ladder position —
-    exactly the state that must survive a restart, so
-    :meth:`export_state` / :meth:`import_state` follow the same
-    snapshot protocol as
-    :class:`~repro.hwmodel.capping.PowerCapController`.
+    Holds the grant ledger and each rack's brownout ladder position.
+    Nothing here is persisted: a resumed sweep re-plans the budget
+    from the same inputs and gets the identical arbiter history.
+    ``monitor`` records the budget invariants (None: no samples built).
     """
 
     def __init__(
@@ -276,12 +215,12 @@ class BudgetArbiter:
         tree: BudgetTree,
         config: BudgetConfig,
         faults: Optional[FaultSchedule] = None,
-        auditor: Optional[BudgetAuditor] = None,
+        monitor: Optional[GuardMonitor] = None,
     ) -> None:
         self.tree = tree
         self.config = config
         self.faults = faults
-        self.auditor = auditor if auditor is not None else BudgetAuditor(None)
+        self.monitor = monitor
         self.stats = BudgetStats()
         self._ladder = config.ladder()
         self._brownout: Dict[str, BrownoutState] = {
@@ -290,7 +229,6 @@ class BudgetArbiter:
         self._ledger: Dict[str, List[Grant]] = {
             server.name: [] for server in tree.servers
         }
-        self._tick_index = 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -392,8 +330,8 @@ class BudgetArbiter:
                 )
         # Grant conservation is checked on what the arbiter *issues*;
         # message loss downstream never excuses an over-issue.
-        if self.auditor.enabled:
-            self.auditor.observe(BudgetSample(
+        if self.monitor is not None:
+            self.monitor.observe(BudgetSample(
                 time_s=time_s,
                 node=rack.name,
                 committed_w=sum(caps.values()),
@@ -421,7 +359,6 @@ class BudgetArbiter:
         if alive is None:
             alive = {server.name for server in self.tree.servers}
         self.stats.ticks += 1
-        self._tick_index += 1
         issued: List[Grant] = []
         cluster_committed_w = 0.0
         for rack in self.tree.racks:
@@ -451,8 +388,8 @@ class BudgetArbiter:
                 self._ledger[name].append(grant)
                 issued.append(grant)
                 self.stats.grants_issued += 1
-        if self.auditor.enabled:
-            self.auditor.observe(BudgetSample(
+        if self.monitor is not None:
+            self.monitor.observe(BudgetSample(
                 time_s=time_s,
                 node="cluster",
                 committed_w=cluster_committed_w,
@@ -475,63 +412,6 @@ class BudgetArbiter:
             self._ledger[name] = [
                 g for g in grants if g.expires_s > time_s
             ]
-
-    # ------------------------------------------------------------------
-    # Checkpoint state (the PowerCapController snapshot protocol)
-    # ------------------------------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        """Snapshot the ledger, ladder positions and counters."""
-        return {
-            "controller": "BudgetArbiter",
-            "tick_index": self._tick_index,
-            "stats": dataclasses.asdict(self.stats),
-            "ledger": {
-                name: [dataclasses.asdict(g) for g in grants]
-                for name, grants in self._ledger.items()
-            },
-            "brownout": {
-                rack: state_to_data(state)
-                for rack, state in self._brownout.items()
-            },
-        }
-
-    def import_state(self, state: Mapping[str, Any]) -> None:
-        """Restore a :meth:`export_state` snapshot, exactly."""
-        if state.get("controller") != "BudgetArbiter":
-            raise CheckpointError(
-                f"snapshot belongs to {state.get('controller')!r}, not "
-                "BudgetArbiter"
-            )
-        try:
-            self._tick_index = int(state["tick_index"])
-            self.stats = BudgetStats(
-                **{k: int(v) for k, v in dict(state["stats"]).items()}
-            )
-            ledger: Dict[str, List[Grant]] = {
-                server.name: [] for server in self.tree.servers
-            }
-            for name, grants in dict(state["ledger"]).items():
-                if name not in ledger:
-                    raise CheckpointError(
-                        f"snapshot grants for unknown server {name!r}"
-                    )
-                ledger[name] = [Grant(**dict(g)) for g in grants]
-            brownout = {
-                rack: state_from_data(data)
-                for rack, data in dict(state["brownout"]).items()
-            }
-        except CheckpointError:
-            raise
-        except Exception as exc:
-            raise CheckpointError(
-                f"malformed BudgetArbiter snapshot: {exc}"
-            ) from exc
-        if set(brownout) != set(self._brownout):
-            raise CheckpointError(
-                "snapshot brownout racks do not match this budget tree"
-            )
-        self._ledger = ledger
-        self._brownout = brownout
 
 
 # ----------------------------------------------------------------------
@@ -566,16 +446,6 @@ class BudgetReport:
             for _, stage in self.stage_history.get(name, ()):
                 deepest = max(deepest, stage)
         return deepest
-
-    def counters(self) -> Dict[str, int]:
-        """Flat degradation counters (``budget.`` namespace) for
-        reports and chaos-campaign coverage signatures."""
-        flat = {
-            f"budget.{name}": int(value)
-            for name, value in dataclasses.asdict(self.stats).items()
-        }
-        flat["budget.max_stage"] = self.max_stage()
-        return flat
 
 
 @dataclass
@@ -717,16 +587,13 @@ def plan_budget(
     budget: BudgetConfig,
     fault_plan: Optional[ClusterFaultPlan] = None,
     guard: Optional[GuardConfig] = None,
-    arbiter_state: Optional[Mapping[str, Any]] = None,
 ) -> BudgetPlan:
     """Walk the sweep timeline and compile the budget into cell plans.
 
     Deterministic by construction: the only inputs are the plans, the
     sweep geometry, the budget config and the (data-pure) fault plan —
     replanning on a checkpoint resume reproduces the identical plan,
-    which is why the arbiter needs no mid-sweep persistence beyond
-    :meth:`BudgetArbiter.export_state` (exposed for operators running
-    the arbiter as a service; ``arbiter_state`` restores one).
+    which is why the arbiter needs no mid-sweep persistence.
 
     With ``guard`` set, the grant-conservation and rack-overcommit
     invariants audit every arbiter period; ``enforce`` mode raises
@@ -742,10 +609,11 @@ def plan_budget(
     period_s = budget.arbiter_period_s
     infra = fault_plan.infra_faults if fault_plan is not None else None
     tree = build_tree(plans, budget.rack_size, budget.rack_slack)
-    auditor = BudgetAuditor(guard)
-    arbiter = BudgetArbiter(tree, budget, faults=infra, auditor=auditor)
-    if arbiter_state is not None:
-        arbiter.import_state(arbiter_state)
+    monitor = (
+        None if guard is None
+        else GuardMonitor(guard, InvariantRegistry.budget(guard))
+    )
+    arbiter = BudgetArbiter(tree, budget, faults=infra, monitor=monitor)
     alive_by_level = _alive_by_level(plans, n_levels, fault_plan)
     plan_by_name = {str(plan.lc_app.name): plan for plan in plans}
     stage_history: Dict[str, List[Tuple[float, int]]] = {
@@ -794,7 +662,7 @@ def plan_budget(
     # In-force audit at every period boundary: this is where stale
     # grants meet collapsed capacity, the case the rack-overcommit
     # invariant (and its lease grace) exists for.
-    if guard is not None:
+    if monitor is not None:
         audit_index = 0
         while True:
             time_s = audit_index * period_s
@@ -808,7 +676,7 @@ def plan_budget(
                     for s in rack.servers
                     if s.name in alive
                 )
-                auditor.observe(BudgetSample(
+                monitor.observe(BudgetSample(
                     time_s=time_s,
                     node=rack.name,
                     committed_w=committed_w,
@@ -860,7 +728,7 @@ def plan_budget(
     report = BudgetReport(
         fairness=budget.fairness,
         stats=arbiter.stats,
-        guard_report=auditor.report(),
+        guard_report=None if monitor is None else monitor.report(),
         stage_history={
             rack: tuple(history) for rack, history in stage_history.items()
         },

@@ -52,7 +52,6 @@ cell dedupe already relies on.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -66,6 +65,7 @@ from repro.core.server_manager import (
 )
 from repro.budget.schedule import CapSchedule
 from repro.core.utility import integer_min_power_allocation
+from repro.engine.vectorized import model_grid
 from repro.errors import CapacityError, ConfigError, InvariantViolationError
 from repro.faults.schedule import (
     FaultSchedule,
@@ -113,7 +113,6 @@ _INELIGIBLE = object()
 # ----------------------------------------------------------------------
 _LADDER_MAPS: Dict[ServerSpec, Any] = {}
 _SURFACE_TABLES: Dict[Tuple[Any, ServerSpec], Tuple[np.ndarray, np.ndarray]] = {}
-_MODEL_GRIDS: Dict[Tuple[Any, ServerSpec], np.ndarray] = {}
 _SOLVER_MEMO: Dict[Tuple[Any, ServerSpec, float], Tuple[Any, ...]] = {}
 
 
@@ -121,7 +120,6 @@ def clear_batched_caches() -> None:
     """Drop every value-keyed table cache (tests and benchmarks)."""
     _LADDER_MAPS.clear()
     _SURFACE_TABLES.clear()
-    _MODEL_GRIDS.clear()
     _SOLVER_MEMO.clear()
 
 
@@ -252,20 +250,6 @@ def _surface_tables(profile: Any, spec: ServerSpec) -> Tuple[np.ndarray, np.ndar
     tables = (norm, act)
     _SURFACE_TABLES[key] = tables
     return tables
-
-
-def _model_grid(model: Any, spec: ServerSpec) -> np.ndarray:
-    """``model.performance((c, w))`` over the integer allocation grid."""
-    key = (model, spec)
-    hit = _MODEL_GRIDS.get(key)
-    if hit is not None:
-        return hit
-    grid = np.zeros((spec.cores + 1, spec.llc_ways + 1), dtype=np.float64)
-    for c in range(1, spec.cores + 1):
-        for w in range(1, spec.llc_ways + 1):
-            grid[c, w] = model.performance((float(c), float(w)))
-    _MODEL_GRIDS[key] = grid
-    return grid
 
 
 def _solve_allocation(model: Any, spec: ServerSpec, target: float) -> Tuple[Any, ...]:
@@ -506,31 +490,7 @@ class BatchedClusterSim:
     at once; :meth:`step` is one control tick of the oracle's loop body;
     :meth:`collect` assembles per-lane :class:`LevelOutcome` objects
     bit-identical to the oracle's.
-
-    :meth:`export_state` / :meth:`import_state` snapshot the mutable
-    array state (including both RNG tapes and per-lane walk generators)
-    so an in-process resume continues bit-identically; the snapshot is a
-    deep copy and holds live fault objects as dict keys, so it is an
-    in-process checkpoint, not a serialization format.
     """
-
-    #: Mutable state snapshotted by export_state/import_state.  RNG
-    #: generators are handled separately via rng_state/rng_from_state.
-    _MUTABLE = (
-        "_tick", "lc_c", "lc_w", "lc_f", "be_c", "be_w", "be_f", "be_duty",
-        "be_empty", "cap_stats", "ssr", "backoff", "cooldown", "safe",
-        "prev_raw", "prev_valid", "repeat", "healthy_streak",
-        "m_filt", "m_filt_init", "m_last_raw", "m_last_filt", "m_last_time",
-        "m_has_last", "held", "e_prev_w", "e_prev_t", "e_has_prev", "joules",
-        "mgr_stats", "h_streak", "h_cooldown", "h_floor", "h_floor_age",
-        "p_headroom", "p_miss", "p_fb_left", "p_promised", "p_promised_valid",
-        "p_promised_at_max", "eff_midx", "model_swapped",
-        "stale_load", "stale_slack", "have_stale",
-        "slo_violations", "buffers", "g_cap_streak", "g_energy_tick",
-        "g_rng_tick", "g_rng_baseline", "g_total", "g_violations",
-        "g_first_violation", "cap", "g_prev_cap", "g_prev_cap_valid",
-        "g_ramp",
-    )
 
     def __init__(self, tasks: Sequence[Any], infos: Sequence[Dict[str, Any]]) -> None:
         if not tasks:
@@ -719,7 +679,7 @@ class BatchedClusterSim:
                         models.append(f.model)
             self.models = models
             self.midx = midx
-            self.grids = np.stack([_model_grid(m, spec) for m in models])
+            self.grids = np.stack([model_grid(m, spec).perf for m in models])
             self.floor_perf = self.grids[:, 1, 1].copy()
             self.full_perf = self.grids[:, self.C, self.W].copy()
             self.p_headroom = np.asarray([i["headroom0"] for i in infos])
@@ -1599,22 +1559,6 @@ class BatchedClusterSim:
             level=self.levels_raw[i],
             result=result,
         )
-
-    # ------------------------------------------------------------------
-    # Checkpoint codec for the array state
-    # ------------------------------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        """Deep-copy snapshot of all mutable state, RNG tapes included."""
-        state: Dict[str, Any] = {}
-        for name in self._MUTABLE + ("rng_with", "rng_without", "walk_rngs"):
-            if hasattr(self, name):
-                state[name] = copy.deepcopy(getattr(self, name))
-        return state
-
-    def import_state(self, state: Dict[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`export_state`."""
-        for name, value in state.items():
-            setattr(self, name, copy.deepcopy(value))
 
 
 # ----------------------------------------------------------------------

@@ -250,7 +250,6 @@ def run_policy(
     dedupe: bool = False,
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
-    checkpoint_every: int = 1,
     guard: Optional["GuardConfig"] = None,
     ledger_path: Optional[str] = None,
     engine: Optional[str] = None,
@@ -297,7 +296,7 @@ def run_policy(
         return run_cluster_checkpointed(
             plans, catalog.spec, checkpoint_path, levels=levels,
             duration_s=duration_s, config=config,
-            dedupe=dedupe, resume=resume, checkpoint_every=checkpoint_every,
+            dedupe=dedupe, resume=resume,
             guard=guard, ledger_path=ledger_path, engine=engine,
             budget=budget,
         )

@@ -43,8 +43,8 @@ def rng_state(rng: np.random.Generator) -> Dict[str, Any]:
     :func:`rng_from_state` to continue the stream bit-identically.
     Fault schedules themselves are pure data, but the controllers that
     consume them carry live generators (e.g. the Heracles-like manager's
-    random walk) — this pair is how the crash-safe runtime
-    (:mod:`repro.runtime`) carries those streams across a restart.
+    random walk) — this pair is how the batched engine
+    (:mod:`repro.engine.batched`) hands such a stream to its lane.
     """
     state = rng.bit_generator.state
     if not isinstance(state, dict):

@@ -47,6 +47,7 @@ from repro.guard.tolerance import exceeds_cap, tolerance_band, within_tolerance
 
 if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
     from repro.guard.campaign import (
+        COVERAGE_COUNTERS,
         BudgetCaseRunner,
         CampaignConfig,
         CampaignResult,
@@ -55,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
         ShrinkResult,
         ViolationCase,
         coverage_signature,
-        degradation_counters,
         mutate_schedule,
         run_campaign,
         shrink_schedule,
@@ -79,6 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - names for type checkers only
 
 #: Lazily-resolved exports: symbol -> defining submodule (PEP 562).
 _LAZY = {
+    "COVERAGE_COUNTERS": "repro.guard.campaign",
     "BudgetCaseRunner": "repro.guard.campaign",
     "CampaignConfig": "repro.guard.campaign",
     "CampaignResult": "repro.guard.campaign",
@@ -87,7 +88,6 @@ _LAZY = {
     "ShrinkResult": "repro.guard.campaign",
     "ViolationCase": "repro.guard.campaign",
     "coverage_signature": "repro.guard.campaign",
-    "degradation_counters": "repro.guard.campaign",
     "mutate_schedule": "repro.guard.campaign",
     "run_campaign": "repro.guard.campaign",
     "shrink_schedule": "repro.guard.campaign",
@@ -129,6 +129,7 @@ def __dir__() -> list:
 __all__ = [
     "MODE_ENFORCE",
     "MODE_RECORD",
+    "COVERAGE_COUNTERS",
     "BudgetCaseRunner",
     "BudgetConservationInvariant",
     "CampaignConfig",
@@ -152,7 +153,6 @@ __all__ = [
     "Violation",
     "ViolationCase",
     "coverage_signature",
-    "degradation_counters",
     "exceeds_cap",
     "fault_from_data",
     "fault_to_data",

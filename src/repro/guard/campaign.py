@@ -13,8 +13,8 @@ coverage signal:
 3. run each mutant through a guarded, *record-mode* colocation cell —
    in order, through :func:`~repro.engine.parallel.map_ordered`;
 4. keep mutants that light up new coverage — a new combination of
-   degradation counters (:class:`~repro.hwmodel.capping.CapStats`,
-   :class:`~repro.core.server_manager.ManagerStats`) at a new order of
+   degradation counters (:data:`COVERAGE_COUNTERS`, read from the run's
+   :func:`~repro.analysis.reporting.counter_map`) at a new order of
    magnitude — so the search walks toward the rarely-exercised corners
    (watchdog trips, safe-mode churn, solver fallbacks);
 5. when a schedule produces invariant violations, *shrink* it: greedily
@@ -45,6 +45,7 @@ from typing import (
 
 import numpy as np
 
+from repro.analysis.reporting import counter_map
 from repro.apps.best_effort import BestEffortApp
 from repro.apps.latency_critical import LatencyCriticalApp
 from repro.engine.parallel import map_ordered
@@ -86,22 +87,32 @@ if TYPE_CHECKING:  # pragma: no cover - cluster/budget layers sit above
 #: module off the cluster layer).
 ManagerFactory = Callable[[Server], "object"]
 
-#: CapStats fields that count graceful degradation (coverage signal).
-CAP_COUNTERS: Tuple[str, ...] = (
-    "watchdog_trips",
-    "safe_mode_entries",
-    "safe_mode_steps",
-    "throttle_events",
-    "restore_events",
-    "duty_limited_samples",
-    "over_cap_samples",
-)
-
-#: ManagerStats fields that count graceful degradation (coverage signal).
-MANAGER_COUNTERS: Tuple[str, ...] = (
-    "model_fallbacks",
-    "model_fallback_steps",
-    "solver_fallbacks",
+#: The :func:`~repro.analysis.reporting.counter_map` keys that steer the
+#: search: graceful-degradation counters only.  Totals (samples, control
+#: steps, arbiter ticks, grants issued) would make every input "new
+#: coverage", or bucket every case of one runner identically.
+COVERAGE_COUNTERS: Tuple[str, ...] = (
+    "cap.watchdog_trips",
+    "cap.safe_mode_entries",
+    "cap.safe_mode_steps",
+    "cap.throttle_events",
+    "cap.restore_events",
+    "cap.duty_limited_samples",
+    "cap.over_cap_samples",
+    "manager.model_fallbacks",
+    "manager.model_fallback_steps",
+    "manager.solver_fallbacks",
+    "budget.skipped_ticks",
+    "budget.grants_expired",
+    "budget.grants_lost",
+    "budget.grants_delayed",
+    "budget.brownout_entries",
+    "budget.throttle_ticks",
+    "budget.evict_ticks",
+    "budget.shed_ticks",
+    "budget.evicted_cells",
+    "budget.shed_cells",
+    "budget.max_stage",
 )
 
 #: One coverage point: a counter name at an order-of-magnitude bucket.
@@ -209,32 +220,24 @@ class ColocationCaseRunner:
             capper_factory=self.capper_factory,
         )
         result = sim.run(self.duration_s)
-        counters = dict(degradation_counters(result))
         report = result.guard_report
         if report is None:  # pragma: no cover - guarded by construction
             raise ConfigError("guarded run produced no guard report")
         return CaseOutcome(
             schedule=schedule,
             report=report,
-            counters=tuple(sorted(counters.items())),
+            counters=_coverage_counters(counter_map(result)),
         )
 
 
-def degradation_counters(result: "object") -> Dict[str, int]:
-    """Extract the degradation-counter coverage signal from one result.
-
-    Names are prefixed ``cap.`` / ``manager.`` after their source stats
-    object; only the graceful-degradation counters participate (total
-    sample/step counts would make every input "new coverage").
-    """
-    counters: Dict[str, int] = {}
-    cap_stats = getattr(result, "cap_stats")
-    for name in CAP_COUNTERS:
-        counters[f"cap.{name}"] = int(getattr(cap_stats, name))
-    manager_stats = getattr(result, "manager_stats")
-    for name in MANAGER_COUNTERS:
-        counters[f"manager.{name}"] = int(getattr(manager_stats, name))
-    return counters
+def _coverage_counters(
+    counters: Dict[str, int],
+) -> Tuple[Tuple[str, int], ...]:
+    """The :data:`COVERAGE_COUNTERS` present in one run's counter map."""
+    return tuple(sorted(
+        (name, counters[name]) for name in COVERAGE_COUNTERS
+        if name in counters
+    ))
 
 
 def coverage_signature(
@@ -295,24 +298,6 @@ class CaseOutcome:
 _INFRA_FAULTS = (
     RackPowerDerate, RackBreakerTrip, ArbiterCrash, GrantLoss, GrantDelay,
 )
-
-#: Budget counters that participate in coverage — degradation signals
-#: only; tick/grant totals are invariant across inputs of one runner
-#: and would bucket every case identically anyway.
-BUDGET_COUNTERS: Tuple[str, ...] = (
-    "budget.skipped_ticks",
-    "budget.grants_expired",
-    "budget.grants_lost",
-    "budget.grants_delayed",
-    "budget.brownout_entries",
-    "budget.throttle_ticks",
-    "budget.evict_ticks",
-    "budget.shed_ticks",
-    "budget.evicted_cells",
-    "budget.shed_cells",
-    "budget.max_stage",
-)
-
 
 @dataclass(frozen=True)
 class BudgetCaseRunner:
@@ -375,38 +360,24 @@ class BudgetCaseRunner:
             duration_s=self.duration_s, config=self.config,
             fault_plan=fault_plan, guard=self.guard, budget=budget,
         )
-        counters: Dict[str, int] = {}
-        checks = 0
-        total = 0
+        counters = counter_map(result)
         violations: List[Violation] = []
         for outcome in result.outcomes:
-            for name, value in degradation_counters(outcome.result).items():
-                counters[name] = counters.get(name, 0) + value
-            report = outcome.result.guard_report
-            if report is not None:
-                checks += report.checks
-                total += report.total_violations
-                violations.extend(report.violations)
+            if outcome.result.guard_report is not None:
+                violations.extend(outcome.result.guard_report.violations)
         budget_report = result.budget_report
-        if budget_report is not None:
-            merged = budget_report.counters()
-            for name in BUDGET_COUNTERS:
-                counters[name] = counters.get(name, 0) + int(merged[name])
-            audit = budget_report.guard_report
-            if audit is not None:
-                checks += audit.checks
-                total += audit.total_violations
-                violations.extend(audit.violations)
+        if budget_report is not None and budget_report.guard_report is not None:
+            violations.extend(budget_report.guard_report.violations)
         report = GuardReport(
             mode=self.guard.mode,
-            checks=checks,
-            total_violations=total,
+            checks=counters.get("guard.checks", 0),
+            total_violations=counters.get("guard.violations", 0),
             violations=tuple(violations[: self.guard.max_violations]),
         )
         return CaseOutcome(
             schedule=schedule,
             report=report,
-            counters=tuple(sorted(counters.items())),
+            counters=_coverage_counters(counters),
         )
 
 

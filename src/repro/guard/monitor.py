@@ -1,9 +1,14 @@
-"""The per-run guard monitor: evaluate every invariant, every tick.
+"""The guard monitor: evaluate every invariant of a registry, every sample.
 
 :class:`GuardMonitor` is the object the simulation loop actually talks
 to — one :meth:`observe` call per control tick with a
 :class:`~repro.guard.invariants.GuardSample`, one :meth:`report` call at
-the end.  In ``record`` mode violations accumulate (capped) into the
+the end.  The budget planner (:func:`repro.budget.arbiter.plan_budget`)
+records its plan-time audit through the same class, built on
+:meth:`InvariantRegistry.budget` and fed
+:class:`~repro.guard.invariants.BudgetSample` snapshots.
+
+In ``record`` mode violations accumulate (capped) into the
 :class:`~repro.guard.invariants.GuardReport`; in ``enforce`` mode the
 first violation raises :class:`~repro.errors.InvariantViolationError`
 immediately, so a broken controller kills its cell instead of producing
@@ -12,10 +17,11 @@ a quietly wrong result.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.errors import InvariantViolationError
 from repro.guard.invariants import (
+    BudgetSample,
     GuardConfig,
     GuardReport,
     GuardSample,
@@ -46,8 +52,8 @@ class GuardMonitor:
         self._total_violations = 0
         self._violations: List[Violation] = []
 
-    def observe(self, sample: GuardSample) -> None:
-        """Run every invariant against one control tick's snapshot.
+    def observe(self, sample: Union[GuardSample, BudgetSample]) -> None:
+        """Run every invariant against one sample.
 
         Raises :class:`~repro.errors.InvariantViolationError` on the
         first violation when enforcing; otherwise records it (up to the

@@ -22,8 +22,9 @@ levels, duration, sim config, fault plan), not object identities.
 
 Cells run through the same engines as ``run_cluster``.  How much work a
 crash costs depends on when outcomes reach the checkpoint: the default
-object engine hands over each cell as it finishes (a crash costs at
-most ``checkpoint_every`` cells), the batched engine hands over a lane
+object engine hands over each cell as it finishes and the checkpoint
+is rewritten after every one (a crash costs at most one cell), the
+batched engine hands over a lane
 group's cells only once every group of the pending cells has run — and
 a typical sweep is one group, so a crash before that point loses the
 whole pending sweep.
@@ -164,7 +165,6 @@ def run_cluster_checkpointed(
     fault_plan: Optional[ClusterFaultPlan] = None,
     dedupe: bool = False,
     resume: bool = False,
-    checkpoint_every: int = 1,
     guard: Optional[GuardConfig] = None,
     ledger_path: Optional[PathLike] = None,
     engine: Optional[str] = None,
@@ -180,11 +180,7 @@ def run_cluster_checkpointed(
     * ``resume`` — load ``checkpoint_path`` first and re-run only the
       cells it lacks.  A missing file starts fresh (so "always pass
       ``--resume``" is a safe operating procedure); a checkpoint from a
-      *different* sweep raises :class:`~repro.errors.CheckpointError`;
-    * ``checkpoint_every`` — completed cells between checkpoint writes.
-      It bounds lost work only on the object engine; the batched engine
-      delivers every cell at the end, so there it only sets how often
-      that final burst rewrites the file.
+      *different* sweep raises :class:`~repro.errors.CheckpointError`.
 
     The checkpoint is left in place on success — it doubles as the
     completed-run record (its header carries progress counters readable
@@ -201,8 +197,8 @@ def run_cluster_checkpointed(
     ``run_cluster``, and decides how much a crash costs:
 
     * ``None`` (the default, the per-object oracle) hands each cell to
-      the checkpoint as it finishes, so ``checkpoint_every=1`` (the
-      default) bounds the recomputation a crash costs at one cell;
+      the checkpoint as it finishes and rewrites the file after every
+      cell, so a crash costs at most one cell of recomputation;
     * ``"batched"`` hands over a lane group's cells only
       after *every* lane group of the pending cells has run.  A typical
       sweep (one manager kind, one duration, one fault schedule) is a
@@ -213,8 +209,6 @@ def run_cluster_checkpointed(
     resumes under the other without changing a single result byte (the
     ``run_key`` is engine-agnostic on purpose).
     """
-    if checkpoint_every < 1:
-        raise ConfigError("checkpoint_every must be at least 1")
     engine_name = resolve_engine(engine)
     if ledger_path is not None and guard is None:
         raise ConfigError("a violation ledger needs a guard config")
@@ -252,15 +246,10 @@ def run_cluster_checkpointed(
 
     pending = [i for i in range(len(unique)) if i not in completed]
     if pending:
-        since_save = 0
 
         def _on_result(position: int, outcome: LevelOutcome) -> None:
-            nonlocal since_save
             completed[pending[position]] = outcome
-            since_save += 1
-            if since_save >= checkpoint_every:
-                _save()
-                since_save = 0
+            _save()
 
         _execute_cells(
             [unique[i] for i in pending], engine_name, on_result=_on_result

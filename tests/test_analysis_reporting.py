@@ -91,23 +91,30 @@ class TestPercentChange:
 
 
 class TestFormatBudgetDegradation:
-    def _report(self, **stats_overrides):
+    def _counters(self, **stats_overrides):
+        from repro.analysis.reporting import counter_map
         from repro.budget.arbiter import BudgetReport, BudgetStats
+        from repro.sim.cluster import ClusterRunResult
 
         stats = BudgetStats(**stats_overrides)
-        return BudgetReport(
+        return counter_map(ClusterRunResult(budget_report=BudgetReport(
             fairness="max-min",
             stats=stats,
             stage_history={"rack0": ((0.0, 0), (1.0, 2))},
+        )))
+
+    def _render(self, rows):
+        from repro.analysis.reporting import BUDGET_COLUMNS, format_counters
+
+        return format_counters(
+            rows, BUDGET_COLUMNS, title="Degradation under power budgets",
         )
 
     def test_counters_render(self):
-        from repro.analysis.reporting import format_budget_degradation
-
-        out = format_budget_degradation([
-            ("pocolo", self._report(ticks=12, skipped_ticks=3,
-                                    grants_issued=20, grants_expired=4,
-                                    grants_lost=2, grants_delayed=1)),
+        out = self._render([
+            ("pocolo", self._counters(ticks=12, skipped_ticks=3,
+                                      grants_issued=20, grants_expired=4,
+                                      grants_lost=2, grants_delayed=1)),
         ])
         assert "Degradation under power budgets" in out
         for header in ("run", "ticks", "skipped", "granted", "expired",
@@ -119,13 +126,11 @@ class TestFormatBudgetDegradation:
             assert value in row
 
     def test_max_stage_comes_from_history(self):
-        from repro.analysis.reporting import format_budget_degradation
-
-        out = format_budget_degradation([("run1", self._report())])
+        out = self._render([("run1", self._counters())])
         assert out.splitlines()[-1].split()[-3] == "2"
 
     def test_malformed_row_rejected(self):
-        from repro.analysis.reporting import format_budget_degradation
-
         with pytest.raises(ConfigError):
-            format_budget_degradation([("label", None, "extra")])
+            self._render([("label", None, "extra")])
+        with pytest.raises(ConfigError, match="budget.ticks"):
+            self._render([("no budget", {"cap.samples": 1})])

@@ -336,7 +336,7 @@ if __name__ == "__main__":
     # The object engine checkpoints each cell as it finishes, so the
     # parent can kill the child between cells.
     run_cluster_checkpointed(
-        plans, spec, sys.argv[1], resume=True, checkpoint_every=1,
+        plans, spec, sys.argv[1], resume=True,
         engine="object", **kwargs
     )
 """

@@ -32,7 +32,7 @@ from repro.faults.schedule import (
     RackPowerDerate,
 )
 from repro.guard.campaign import (
-    BUDGET_COUNTERS,
+    COVERAGE_COUNTERS,
     BudgetCaseRunner,
     CampaignConfig,
     mutate_schedule,
@@ -112,7 +112,7 @@ class TestInfraMutationPool:
                             rack="rack0"),
         ]))
         counters = dict(outcome.counters)
-        for name in BUDGET_COUNTERS:
+        for name in COVERAGE_COUNTERS:
             assert name in counters
         assert counters["budget.max_stage"] > 0
         assert any(name.startswith("cap.") for name in counters)

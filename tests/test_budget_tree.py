@@ -18,7 +18,6 @@ from repro.budget import (
     BrownoutLadder,
     BrownoutState,
     BudgetArbiter,
-    BudgetAuditor,
     BudgetConfig,
     CapSchedule,
     ServerDemand,
@@ -27,7 +26,7 @@ from repro.budget import (
     max_min_shares,
     throughput_shares,
 )
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import ConfigError
 from repro.faults.schedule import (
     FaultSchedule,
     GrantDelay,
@@ -35,7 +34,8 @@ from repro.faults.schedule import (
     RackBreakerTrip,
     RackPowerDerate,
 )
-from repro.guard.invariants import GuardConfig
+from repro.guard.invariants import GuardConfig, InvariantRegistry
+from repro.guard.monitor import GuardMonitor
 
 
 class _App:
@@ -248,8 +248,11 @@ def _arbiter(floors=(100.0, 120.0), faults=None, guard=None, **overrides):
         **overrides,
     )
     tree = build_tree(_fleet(floors), config.rack_size, config.rack_slack)
-    auditor = BudgetAuditor(guard)
-    return BudgetArbiter(tree, config, faults=faults, auditor=auditor), tree
+    monitor = (
+        None if guard is None
+        else GuardMonitor(guard, InvariantRegistry.budget(guard))
+    )
+    return BudgetArbiter(tree, config, faults=faults, monitor=monitor), tree
 
 
 def _hungry(tree):
@@ -330,29 +333,6 @@ class TestBudgetArbiter:
             floor * config.min_cap_fraction
         )
 
-    def test_state_round_trip(self):
-        arbiter, tree = _arbiter()
-        arbiter.tick(0.0, _hungry(tree))
-        arbiter.tick(1.0, {})
-        snapshot = arbiter.export_state()
-        fresh, _ = _arbiter()
-        fresh.import_state(snapshot)
-        for t in (0.2, 1.2, 2.5, 3.5):
-            for server in tree.servers:
-                assert fresh.in_force_cap_w(server.name, t) == (
-                    arbiter.in_force_cap_w(server.name, t)
-                )
-        assert fresh.export_state() == snapshot
-
-    def test_import_rejects_foreign_snapshots(self):
-        arbiter, _ = _arbiter()
-        with pytest.raises(CheckpointError):
-            arbiter.import_state({"controller": "PowerCapController"})
-        snapshot = arbiter.export_state()
-        snapshot["ledger"]["intruder"] = []
-        with pytest.raises(CheckpointError):
-            arbiter.import_state(snapshot)
-
 
 @st.composite
 def _fault_windows(draw):
@@ -416,9 +396,8 @@ class TestGrantConservationProperty:
             time_s = index * arbiter.config.arbiter_period_s
             arbiter.tick(time_s, demands if wants else {})
             last_tick_s = time_s
-        report = arbiter.auditor.report()
-        assert report is not None
-        assert report.total_violations == 0
+        assert arbiter.monitor is not None
+        assert arbiter.monitor.report().total_violations == 0
         settle_s = last_tick_s + arbiter.config.lease_s
         for server in tree.servers:
             assert arbiter.in_force_cap_w(server.name, settle_s) == (

@@ -7,11 +7,12 @@ degradation counters must surface in the reporting layer.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.analysis import format_degradation
+from repro.analysis import FAULT_COLUMNS, counter_map, format_counters
 from repro.core.placement import assign_with_fallback, pocolo_placement
 from repro.core.server_manager import ManagerStats, PowerOptimizedManager
 from repro.errors import ConfigError, SolverError
@@ -182,7 +183,14 @@ class TestDegradationReporting:
                        safe_mode_entries=1, watchdog_trips=1)
         mgr = ManagerStats(control_steps=50, model_fallbacks=2,
                            model_fallback_steps=15, solver_fallbacks=1)
-        table = format_degradation([("faulted", cap, mgr)])
+        result = SimpleNamespace(cap_stats=cap, manager_stats=mgr,
+                                 guard_report=None)
+        counters = counter_map(result)
+        assert counters["cap.safe_mode_steps"] == 20
+        assert counters["manager.model_fallback_steps"] == 15
+        assert not any(key.startswith(("budget.", "guard.")) for key in counters)
+        table = format_counters([("faulted", counters)], FAULT_COLUMNS,
+                                title="Degradation under faults")
         assert "Degradation under faults" in table
         assert "faulted" in table
         lines = table.splitlines()
@@ -193,7 +201,7 @@ class TestDegradationReporting:
 
     def test_row_shape_validation(self):
         with pytest.raises(ConfigError):
-            format_degradation([("just-a-label",)])
+            format_counters([("just-a-label",)], FAULT_COLUMNS)
 
     def test_stats_fractions_empty_safe(self):
         assert CapStats().safe_mode_fraction == 0.0

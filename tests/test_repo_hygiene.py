@@ -14,9 +14,15 @@ capped at the values recorded here, so grandfathered findings get fixed
 over time but never multiply — and ``src/repro`` must be pocolint-clean
 modulo that baseline.
 
+Finally, no ``src/repro`` module is an orphan: each one (the
+``__main__`` entry points aside) is imported by some other module of
+the program, its benchmarks, examples, scripts or ``perfbench`` —
+tests alone do not keep a module alive.
+
 The git checks are skipped outside a git checkout (e.g. an sdist).
 """
 
+import ast
 import pathlib
 import subprocess
 
@@ -124,4 +130,59 @@ def test_src_repro_pocolint_clean_modulo_baseline(baseline):
     new, _ = baseline.filter(findings)
     assert new == [], "new pocolint findings:\n" + "\n".join(
         f.render() for f in new
+    )
+
+
+#: Trees whose imports keep a ``src/repro`` module alive (tests excluded).
+IMPORTING_TREES = ("src", "benchmarks", "examples", "scripts", "perfbench")
+
+
+def _module_name(path: pathlib.Path) -> str:
+    parts = list(path.relative_to(REPO_ROOT / "src").with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _imported_modules(path: pathlib.Path) -> set:
+    """Every module name one file imports, plus the packages above them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    package = ""
+    if path.is_relative_to(REPO_ROOT / "src"):
+        package = _module_name(path)
+        if path.name != "__init__.py":
+            package = package.rpartition(".")[0]
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    closed = set()
+    for name in names:
+        parts = name.split(".")
+        closed.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    return closed
+
+
+def test_no_orphan_src_modules():
+    modules = {
+        _module_name(path): path
+        for path in (REPO_ROOT / "src" / "repro").rglob("*.py")
+        if path.name != "__main__.py"
+    }
+    imported_by = {name: set() for name in modules}
+    for tree in IMPORTING_TREES:
+        for path in (REPO_ROOT / tree).rglob("*.py"):
+            for name in _imported_modules(path) & set(modules):
+                if modules[name] != path:
+                    imported_by[name].add(path)
+    orphans = sorted(name for name, users in imported_by.items() if not users)
+    assert orphans == [], (
+        f"modules nothing imports (delete them or wire them in): {orphans}"
     )

@@ -6,8 +6,7 @@ The contract under test (docs/RECOVERY.md):
 * :class:`repro.runtime.checkpoint.Checkpoint` — every corruption mode
   (truncation, bit rot, alien/newer files, foreign runs) is refused
   *before* unpickling;
-* controller state snapshots (managers, cap loop, RNG streams)
-  round-trip exactly;
+* RNG stream snapshots round-trip exactly;
 * :func:`repro.runtime.sweep.run_cluster_checkpointed` — checkpoint →
   kill → resume equals the uninterrupted run bit-for-bit, pinned with
   Hypothesis across seeds / worker counts / fault plans and with a real
@@ -28,9 +27,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.server_manager import HeraclesLikeManager, PowerOptimizedManager
 from repro.engine.select import ENGINES
-from repro.errors import CheckpointError, ConfigError
+from repro.errors import CheckpointError
 from repro.evaluation.pipeline import PomFactory
 from repro.faults.cluster import ClusterFaultPlan, ServerCrash
 from repro.faults.schedule import (
@@ -40,8 +38,6 @@ from repro.faults.schedule import (
     rng_from_state,
     rng_state,
 )
-from repro.hwmodel.capping import PowerCapController
-from repro.hwmodel.meter import PowerMeter
 from repro.runtime import (
     CHECKPOINT_MAGIC,
     Checkpoint,
@@ -52,7 +48,7 @@ from repro.runtime import (
     sweep_run_key,
 )
 from repro.sim.cluster import ServerPlan, run_cluster
-from repro.sim.colocation import SimConfig, build_colocated_server
+from repro.sim.colocation import SimConfig
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -245,88 +241,6 @@ class TestCheckpointCodec:
             Checkpoint.load(path)
 
 
-class TestControllerStateRoundTrip:
-    def _driven_manager(self, catalog, cls, steps=25, **kwargs):
-        lc = catalog.lc_apps["xapian"]
-        server = build_colocated_server(
-            catalog.spec, lc, provisioned_power_w=lc.peak_server_power_w()
-        )
-        if cls is PowerOptimizedManager:
-            kwargs.setdefault("model", catalog.lc_fits["xapian"].model)
-        manager = cls(server, **kwargs)
-        load = 0.4 * lc.peak_load
-        for _ in range(steps):
-            alloc = server.allocation_of(lc.name)
-            manager.control_step(load, lc.slack(load, alloc))
-        return manager, lc
-
-    def test_pom_manager_roundtrip(self, catalog):
-        a, lc = self._driven_manager(catalog, PowerOptimizedManager)
-        b, _ = self._driven_manager(catalog, PowerOptimizedManager, steps=0)
-        snapshot = a.export_state()
-        b.import_state(snapshot)
-        assert b.export_state() == snapshot
-        assert b.stats == a.stats
-
-    def test_heracles_manager_roundtrip_continues_rng_stream(self, catalog):
-        a, lc = self._driven_manager(
-            catalog, HeraclesLikeManager, path="random", seed=3
-        )
-        b, _ = self._driven_manager(
-            catalog, HeraclesLikeManager, steps=0, path="random", seed=99
-        )
-        b.import_state(a.export_state())
-        assert b.export_state() == a.export_state()
-        # The random walk continues bit-identically despite seed=99.
-        load = 0.4 * lc.peak_load
-        for _ in range(10):
-            a.control_step(load, 0.5)
-            b.control_step(load, 0.5)
-        assert b.export_state() == a.export_state()
-
-    def test_cross_class_restore_refused(self, catalog):
-        pom, _ = self._driven_manager(catalog, PowerOptimizedManager, steps=0)
-        her, _ = self._driven_manager(catalog, HeraclesLikeManager, steps=0)
-        with pytest.raises(CheckpointError, match="HeraclesLikeManager"):
-            pom.import_state(her.export_state())
-
-    def test_snapshot_is_plain_data(self, catalog):
-        manager, _ = self._driven_manager(
-            catalog, HeraclesLikeManager, path="random", seed=3
-        )
-        snapshot = manager.export_state()
-        # Pickles and JSON-ish survives a deep copy through pickle.
-        assert pickle.loads(pickle.dumps(snapshot)) == snapshot
-
-    def _driven_capper(self, catalog, steps=30):
-        lc = catalog.lc_apps["xapian"]
-        server = build_colocated_server(
-            catalog.spec, lc, provisioned_power_w=120.0
-        )
-        meter = PowerMeter(
-            source=server.power_w, rng=np.random.default_rng(0),
-            noise_sigma_w=0.5,
-        )
-        capper = PowerCapController(server, meter)
-        for k in range(steps):
-            capper.step(k * 0.1)
-        return capper
-
-    def test_cap_controller_roundtrip(self, catalog):
-        a = self._driven_capper(catalog)
-        b = self._driven_capper(catalog, steps=0)
-        snapshot = a.export_state()
-        b.import_state(snapshot)
-        assert b.export_state() == snapshot
-        assert b.stats == a.stats
-        assert b.safe_mode == a.safe_mode
-
-    def test_cap_controller_foreign_snapshot_refused(self, catalog):
-        capper = self._driven_capper(catalog, steps=0)
-        with pytest.raises(CheckpointError):
-            capper.import_state({"controller": "SomethingElse", "stats": {}})
-
-
 class TestRngSnapshots:
     def test_stream_continues_exactly(self):
         rng = np.random.default_rng(42)
@@ -483,14 +397,6 @@ class TestCheckpointedSweep:
             clean.fault_report.degraded_cells,
         )
 
-    def test_checkpoint_every_validated(self, catalog, tmp_path):
-        plans = _plans(catalog, [("xapian", "rnn")])
-        with pytest.raises(ConfigError):
-            run_cluster_checkpointed(
-                plans, catalog.spec, tmp_path / "x.ckpt",
-                checkpoint_every=0, **self.KWARGS,
-            )
-
     def test_run_key_is_content_based(self, catalog):
         plans_a = _plans(catalog, [("xapian", "rnn")])
         plans_b = _plans(catalog, [("xapian", "rnn")])  # fresh objects
@@ -596,7 +502,7 @@ if __name__ == "__main__":
     # The object engine checkpoints each cell as it finishes, so the
     # parent can kill the child between cells.
     run_cluster_checkpointed(
-        plans, spec, sys.argv[1], resume=True, checkpoint_every=1,
+        plans, spec, sys.argv[1], resume=True,
         engine="object", **kwargs
     )
 """
