@@ -84,7 +84,7 @@ from repro.hwmodel.meter import PowerMeter
 from repro.hwmodel.spec import Allocation, ServerSpec
 from repro.sim.cluster import Cell
 from repro.sim.colocation import ColocationResult, SimConfig, build_colocated_server
-from repro.sim.telemetry import Telemetry, TimeSeries
+from repro.sim.telemetry import Telemetry, TickBlock, series_names, tick_times
 
 __all__ = [
     "BatchedClusterSim",
@@ -123,45 +123,17 @@ def clear_batched_caches() -> None:
     _SOLVER_MEMO.clear()
 
 
-def _np_mean_lanes(buf: np.ndarray) -> np.ndarray:
-    """Per-lane means of a ``(n_ticks, n)`` buffer, bit-identical to
-    ``np.mean`` of each lane's tick column.
+def _np_mean_lanes(rows: np.ndarray) -> np.ndarray:
+    """Per-lane means of a lane-major ``(lanes, ticks)`` block, each
+    bit-identical to ``np.mean`` of its row (0.0 when there are no ticks).
 
-    The oracle's epilogue averages each telemetry series with
-    ``np.mean`` over a contiguous 1-D array, which numpy reduces with
-    *pairwise summation*.  A plain ``buf.mean(axis=0)`` reduces in a
-    different association order, so its last bits can differ; this
-    replicates numpy's exact pairwise tree (sequential below 8, eight
-    unrolled accumulators up to the 128-element block size, recursive
-    halving above) with one vectorized operation per tree node.
+    On a C-contiguous block the reduction runs numpy's pairwise
+    summation over each contiguous row, exactly as ``np.mean`` does on
+    the row alone; ``tests/test_sim_telemetry.py`` pins the identity.
     """
-    def pairwise(a: np.ndarray) -> np.ndarray:
-        length = a.shape[1]
-        if length < 8:
-            res = np.zeros(a.shape[0])
-            for i in range(length):
-                res = res + a[:, i]
-            return res
-        if length <= 128:
-            r = [a[:, j].astype(float) for j in range(8)]
-            i = 8
-            while i < length - (length % 8):
-                for j in range(8):
-                    r[j] = r[j] + a[:, i + j]
-                i += 8
-            res = ((r[0] + r[1]) + (r[2] + r[3])) + (
-                (r[4] + r[5]) + (r[6] + r[7])
-            )
-            while i < length:
-                res = res + a[:, i]
-                i += 1
-            return res
-        half = a.shape[1] // 2
-        half -= half % 8
-        return pairwise(a[:, :half]) + pairwise(a[:, half:])
-
-    lanes = buf.T
-    return pairwise(lanes) / lanes.shape[1]
+    if rows.shape[1] == 0:
+        return np.zeros(rows.shape[0])
+    return rows.mean(axis=1)
 
 
 def _ladder_maps(spec: ServerSpec) -> Optional[Dict[str, Any]]:
@@ -764,24 +736,13 @@ class BatchedClusterSim:
         self.rng_without = np.random.default_rng(cfg.seed)
         self.with_mask = (self.level > 0.0) & (cfg.load_noise > 0)
 
-        # ---- telemetry buffers -------------------------------------
-        self.times = [
-            tick * cfg.control_interval_s for tick in range(self.n_ticks)
-        ]
-        shape = (self.n_ticks, n)
-        self.buffers = {
-            "power_w": np.zeros(shape),
-            "lc_load_fraction": np.zeros(shape),
-            "lc_slack": np.zeros(shape),
-            "safe_mode": np.zeros(shape),
-            "lc_cores": np.zeros(shape, dtype=np.int64),
-            "lc_ways": np.zeros(shape, dtype=np.int64),
-            "be_throughput_norm": np.zeros(shape),
-            "be_freq_ghz": np.zeros(shape),
-            "be_duty": np.zeros(shape),
-        }
-        if self.any_sched:
-            self.buffers["effective_cap_w"] = np.zeros(shape)
+        # ---- telemetry ---------------------------------------------
+        # One lane-major block for the whole sweep; each lane's
+        # Telemetry is a view of its row, so collect copies nothing.
+        self.block = TickBlock.allocate(
+            tick_times(self.n_ticks, cfg.control_interval_s),
+            series_names(self.any_sched, True), n,
+        )
         self.slo_violations = np.zeros(n, dtype=np.int64)
         self.stale_load = np.zeros(n)
         self.stale_slack = np.zeros(n)
@@ -891,17 +852,17 @@ class BatchedClusterSim:
             )
         if in_window:
             self.slo_violations += true_slack < 0
-            buf = self.buffers
-            buf["power_w"][tick] = power
-            buf["lc_load_fraction"][tick] = load_frac
-            buf["lc_slack"][tick] = true_slack
-            buf["safe_mode"][tick] = np.where(self.safe, 1.0, 0.0)
-            buf["lc_cores"][tick] = self.lc_c
-            buf["lc_ways"][tick] = self.lc_w
+            cols = self.block.columns
+            cols["power_w"][:, tick] = power
+            cols["lc_load_fraction"][:, tick] = load_frac
+            cols["lc_slack"][:, tick] = true_slack
+            cols["safe_mode"][:, tick] = np.where(self.safe, 1.0, 0.0)
+            cols["lc_cores"][:, tick] = self.lc_c
+            cols["lc_ways"][:, tick] = self.lc_w
             if self.any_sched:
-                # End-of-tick cap (the last subtick's gather), recorded
-                # only into scheduled lanes' series at assembly.
-                buf["effective_cap_w"][tick] = self.cap
+                # End-of-tick cap (the last subtick's gather); only
+                # scheduled lanes list the series among their names.
+                cols["effective_cap_w"][:, tick] = self.cap
             # meter.last_reading exists after the first subtick ever.
             if self.e_has_prev:
                 dt = self.m_last_time - self.e_prev_t
@@ -912,14 +873,14 @@ class BatchedClusterSim:
             self.e_prev_t = self.m_last_time
             self.e_has_prev = True
             norm = self.be_norm[self.be_tbl, self.be_c, self.be_w, self.be_f]
-            buf["be_throughput_norm"][tick] = np.where(
+            cols["be_throughput_norm"][:, tick] = np.where(
                 self.be_empty, 0.0, norm * self.be_duty
             )
             # An empty Allocation reports the dataclass default freq.
-            buf["be_freq_ghz"][tick] = np.where(
+            cols["be_freq_ghz"][:, tick] = np.where(
                 self.be_empty, 2.2, self.maps["vals_arr"][self.be_f]
             )
-            buf["be_duty"][tick] = self.be_duty
+            cols["be_duty"][:, tick] = self.be_duty
         self._tick += 1
 
     def run(self) -> None:
@@ -1456,25 +1417,19 @@ class BatchedClusterSim:
             raise ConfigError("batched sim has not run to completion")
         from repro.sim.cluster import LevelOutcome
 
-        # Lane-indexable epilogue state, materialized once: python-list
-        # columns for the telemetry series, pairwise-exact means for the
-        # averaged ones, and plain-int stat columns.  This keeps the
-        # per-lane assembly loop free of numpy scalar extraction.
-        pre: Dict[str, Any] = {
-            "cap": {f: a.tolist() for f, a in self.cap_stats.items()},
-            "mgr": {f: a.tolist() for f, a in self.mgr_stats.items()},
-            "joules": self.joules.tolist(),
-            "slo": self.slo_violations.tolist(),
-            "g_total": self.g_total.tolist(),
+        # Sweep-wide columns, materialized once, keep the per-lane loop
+        # free of numpy scalar extraction.
+        block = self.block
+        block.freeze()
+        means = {
+            name: _np_mean_lanes(block.columns[name]).tolist()
+            for name in ("be_throughput_norm", "power_w", "lc_load_fraction")
         }
-        if self.n_ticks > 0:
-            pre["cols"] = {
-                name: np.ascontiguousarray(buf.T).tolist()
-                for name, buf in self.buffers.items()
-            }
-            for name in ("be_throughput_norm", "power_w",
-                         "lc_load_fraction"):
-                pre[name] = _np_mean_lanes(self.buffers[name])
+        cap = {f: a.tolist() for f, a in self.cap_stats.items()}
+        mgr = {f: a.tolist() for f, a in self.mgr_stats.items()}
+        joules = self.joules.tolist()
+        slo = self.slo_violations.tolist()
+        g_total = self.g_total.tolist()
 
         enforcing = self.guard is not None and self.guard.enforcing
         out: List[Any] = []
@@ -1486,79 +1441,48 @@ class BatchedClusterSim:
                     f"{first.render()}"
                 ))
                 continue
-            out.append(self._assemble(i, LevelOutcome, pre))
-        return out
-
-    def _assemble(
-        self, i: int, level_outcome_cls: Any, pre: Dict[str, Any]
-    ) -> Any:
-        plan = self.plans[i]
-        be_app = self.be_apps[i]
-        tele = Telemetry()
-        with_ticks = self.n_ticks > 0
-        if with_ticks:
-            names = [
-                "power_w", "lc_load_fraction", "lc_slack", "safe_mode",
-                "lc_cores", "lc_ways",
-            ]
-            if self.schedules[i] is not None:
-                names.append("effective_cap_w")
-            if be_app is not None:
-                names += ["be_throughput_norm", "be_freq_ghz", "be_duty"]
-            cols = pre["cols"]
-            times = self.times
-            for name in names:
-                tele.attach(TimeSeries(
-                    name=name, times=list(times), values=cols[name][i],
-                ))
-        # Series access order matches the oracle's aggregation epilogue
-        # so that series auto-creation order is identical too; the means
-        # themselves come from the vectorized pairwise-exact pass.
-        has_be_series = not tele.series("be_throughput_norm").empty
-        avg_norm = (
-            float(pre["be_throughput_norm"][i]) if has_be_series else 0.0
-        )
-        avg_abs = avg_norm * be_app.peak_throughput if be_app is not None else 0.0
-        avg_power = (
-            float(pre["power_w"][i])
-            if not tele.series("power_w").empty else 0.0
-        )
-        avg_load = (
-            float(pre["lc_load_fraction"][i])
-            if not tele.series("lc_load_fraction").empty else 0.0
-        )
-        report = None
-        if self.guard is not None:
-            report = GuardReport(
-                mode=self.guard.mode,
-                checks=6 * (self.n_warmup + self.n_ticks),
-                total_violations=pre["g_total"][i],
-                violations=tuple(self.g_violations[i]),
+            plan = self.plans[i]
+            be_app = self.be_apps[i]
+            avg_norm = (
+                means["be_throughput_norm"][i] if be_app is not None else 0.0
             )
-        result = ColocationResult(
-            lc_name=plan.lc_app.name,
-            be_name=be_app.name if be_app is not None else None,
-            duration_s=self.durations[i],
-            avg_be_throughput_norm=avg_norm,
-            avg_be_throughput_abs=avg_abs,
-            avg_lc_load_fraction=avg_load,
-            avg_power_w=avg_power,
-            power_utilization=avg_power / plan.provisioned_power_w,
-            energy_kwh=pre["joules"][i] / 3.6e6,
-            slo_violation_fraction=pre["slo"][i] / max(1, self.n_ticks),
-            cap_stats=CapStats(**{f: c[i] for f, c in pre["cap"].items()}),
-            manager_stats=ManagerStats(
-                **{f: c[i] for f, c in pre["mgr"].items()}
-            ),
-            telemetry=tele,
-            guard_report=report,
-        )
-        return level_outcome_cls(
-            lc_name=plan.lc_app.name,
-            be_name=be_app.name if be_app is not None else None,
-            level=self.levels_raw[i],
-            result=result,
-        )
+            avg_power = means["power_w"][i]
+            report = None
+            if self.guard is not None:
+                report = GuardReport(
+                    mode=self.guard.mode,
+                    checks=6 * (self.n_warmup + self.n_ticks),
+                    total_violations=g_total[i],
+                    violations=tuple(self.g_violations[i]),
+                )
+            result = ColocationResult(
+                lc_name=plan.lc_app.name,
+                be_name=be_app.name if be_app is not None else None,
+                duration_s=self.durations[i],
+                avg_be_throughput_norm=avg_norm,
+                avg_be_throughput_abs=(
+                    avg_norm * be_app.peak_throughput
+                    if be_app is not None else 0.0
+                ),
+                avg_lc_load_fraction=means["lc_load_fraction"][i],
+                avg_power_w=avg_power,
+                power_utilization=avg_power / plan.provisioned_power_w,
+                energy_kwh=joules[i] / 3.6e6,
+                slo_violation_fraction=slo[i] / max(1, self.n_ticks),
+                cap_stats=CapStats(**{f: c[i] for f, c in cap.items()}),
+                manager_stats=ManagerStats(**{f: c[i] for f, c in mgr.items()}),
+                telemetry=Telemetry(block, i, series_names(
+                    self.schedules[i] is not None, be_app is not None
+                )),
+                guard_report=report,
+            )
+            out.append(LevelOutcome(
+                lc_name=plan.lc_app.name,
+                be_name=result.be_name,
+                level=self.levels_raw[i],
+                result=result,
+            ))
+        return out
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Atomic artifact writes: write-temp → fsync → rename.
 
 Every durable artifact this repo emits — checkpoints, benchmark JSON,
-report tables, telemetry CSVs, the lint baseline — goes through these
+report tables, the violation ledger, the lint baseline — goes through these
 helpers so that a reader (or a crash) can never observe a half-written
 file: either the old content is still there, or the new content is
 complete.  The recipe is the classic POSIX one:

@@ -2,7 +2,7 @@
 
 A checkpoint is one self-describing binary file::
 
-    {"magic": "pocolo-checkpoint", "version": 1,
+    {"magic": "pocolo-checkpoint", "version": 2,
      "run_key": "<sha256 of the sweep identity>",
      "payload_sha256": "<sha256 of the payload bytes>",
      "payload_bytes": N, "extra": {...}}\\n
@@ -10,7 +10,7 @@ A checkpoint is one self-describing binary file::
 
 The JSON header line makes a checkpoint greppable and lets ``load``
 validate *everything* before unpickling a single byte: magic and format
-version (forward-compatibility refusal, never a silent misparse),
+version (any other version is refused, never a silent misparse),
 payload length (truncation from a crashed writer), SHA-256 checksum
 (bit rot, torn writes that slipped past the filesystem), and the
 ``run_key`` — a digest of the sweep's identity that stops a checkpoint
@@ -38,9 +38,10 @@ from repro.runtime.atomic import PathLike, atomic_write_bytes
 #: First token of every checkpoint header; never changes.
 CHECKPOINT_MAGIC = "pocolo-checkpoint"
 
-#: Current format version.  Readers refuse newer versions outright —
-#: guessing at an unknown layout is how resumes corrupt results.
-CHECKPOINT_VERSION = 1
+#: Current format version.  Readers refuse every other version outright —
+#: guessing at an unknown layout is how resumes corrupt results.  Version
+#: 2 pickles each cell's telemetry as one lane of a tick block.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,13 @@ class Checkpoint:
         if not isinstance(version, int) or version > CHECKPOINT_VERSION or version < 1:
             raise CheckpointError(
                 f"checkpoint {target} has unsupported version {version!r} "
-                f"(this reader supports <= {CHECKPOINT_VERSION})"
+                f"(this reader supports {CHECKPOINT_VERSION})"
+            )
+        if version < CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"checkpoint {target} was written by an older format "
+                f"(version {version}, this reader needs {CHECKPOINT_VERSION}); "
+                "delete it and restart the run"
             )
         payload_bytes = blob[newline + 1:]
         declared = header.get("payload_bytes")

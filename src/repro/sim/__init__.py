@@ -21,7 +21,7 @@ from repro.sim.queueing import (
     p99_curve,
     simulate_queue,
 )
-from repro.sim.telemetry import Telemetry, TimeSeries, write_csv
+from repro.sim.telemetry import Telemetry, TimeSeries
 from repro.sim.timeshare import (
     BestEffortJob,
     FcfsScheduler,
@@ -51,7 +51,6 @@ __all__ = [
     "SimConfig",
     "Telemetry",
     "TimeSeries",
-    "write_csv",
     "build_colocated_server",
     "calibrate_knee",
     "p99_curve",

@@ -43,7 +43,7 @@ from repro.hwmodel.capping import CapStats, PowerCapController
 from repro.hwmodel.meter import EnergyCounter, PowerMeter
 from repro.hwmodel.server import PRIMARY, SECONDARY, Server
 from repro.hwmodel.spec import ServerSpec
-from repro.sim.telemetry import Telemetry
+from repro.sim.telemetry import Telemetry, TickBlock, series_names, tick_times
 from repro.workloads.traces import ConstantTrace, LoadTrace
 
 if TYPE_CHECKING:  # the guard layer imports hwmodel only; no cycle
@@ -196,7 +196,6 @@ class ColocationSim:
             from repro.guard.monitor import GuardMonitor
 
             monitor = GuardMonitor(self.guard)
-        telemetry = Telemetry()
         energy = EnergyCounter()
         primary = self.server.primary_tenant()
         be = self.server.secondary_tenant()
@@ -208,6 +207,11 @@ class ColocationSim:
 
         n_warmup = int(round(cfg.warmup_s / cfg.control_interval_s))
         n_ticks = int(round(duration_s / cfg.control_interval_s))
+        has_be = be is not None and self.be_app is not None
+        telemetry = Telemetry(TickBlock.allocate(
+            tick_times(n_ticks, cfg.control_interval_s),
+            series_names(self.cap_schedule is not None, has_be),
+        ))
         subticks = int(round(cfg.control_interval_s / cfg.power_interval_s))
         violations = 0
         stale_load: Optional[float] = None
@@ -276,27 +280,32 @@ class ColocationSim:
             if in_window:
                 if true_slack < 0:
                     violations += 1
-                telemetry.record("power_w", t, power)
-                telemetry.record("lc_load_fraction", t, load_frac)
-                telemetry.record("lc_slack", t, true_slack)
-                telemetry.record("safe_mode", t, 1.0 if self.capper.safe_mode else 0.0)
-                telemetry.record("lc_cores", t, lc_alloc.cores)
-                telemetry.record("lc_ways", t, lc_alloc.ways)
+                telemetry.record(
+                    tick,
+                    power_w=power,
+                    lc_load_fraction=load_frac,
+                    lc_slack=true_slack,
+                    safe_mode=1.0 if self.capper.safe_mode else 0.0,
+                    lc_cores=lc_alloc.cores,
+                    lc_ways=lc_alloc.ways,
+                )
                 if self.cap_schedule is not None:
                     telemetry.record(
-                        "effective_cap_w", t, self.server.provisioned_power_w
+                        tick, effective_cap_w=self.server.provisioned_power_w
                     )
                 if self.meter.last_reading is not None:
                     energy.record(self.meter.last_reading)
-                if be is not None and self.be_app is not None:
+                if has_be:
                     be_alloc = self.server.allocation_of(be)
-                    norm = self.be_app.normalized_throughput(be_alloc)
-                    telemetry.record("be_throughput_norm", t, norm)
-                    telemetry.record("be_freq_ghz", t, be_alloc.freq_ghz)
-                    telemetry.record("be_duty", t, be_alloc.duty_cycle)
+                    telemetry.record(
+                        tick,
+                        be_throughput_norm=self.be_app.normalized_throughput(be_alloc),
+                        be_freq_ghz=be_alloc.freq_ghz,
+                        be_duty=be_alloc.duty_cycle,
+                    )
 
-        be_norm_series = telemetry.series("be_throughput_norm")
-        avg_norm = be_norm_series.mean() if not be_norm_series.empty else 0.0
+        telemetry.block.freeze()
+        avg_norm = telemetry.series("be_throughput_norm").mean()
         avg_abs = (
             avg_norm * self.be_app.peak_throughput if self.be_app is not None else 0.0
         )

@@ -1,149 +1,181 @@
-"""Telemetry: time-series collection for simulated runs.
+"""Telemetry: the one columnar format both simulation engines write.
 
 The paper's platform assumes "telemetry systems in today's datacenters
 periodically collect these metrics for each application at fine temporal
-granularity" (Section IV-A).  :class:`TimeSeries` is a minimal append-only
-metric store with the summary operations the experiments need: time
-averages, percentiles, and fraction-above-threshold.
+granularity" (Section IV-A).  A :class:`TickBlock` holds the per-tick
+telemetry of a set of cells that share one tick grid: a ``times`` array
+plus one lane-major ``(lanes, ticks)`` array per series.  A cell's
+:class:`Telemetry` is one lane of a block.  The per-object oracle writes
+a one-lane block tick by tick; the batched core fills one block for its
+whole sweep and hands each lane a view of it, so nothing is copied.
+:class:`TimeSeries` is a read-only view of one row with the summary
+operations the experiments need: means, percentiles and
+fraction-above-threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError, SimulationError
 
+#: Series stored as int64; every other series is float64.
+_INT_SERIES = frozenset({"lc_cores", "lc_ways"})
 
-@dataclass
+_EMPTY = np.zeros(0)
+_EMPTY.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def series_names(has_schedule: bool, has_be: bool) -> Tuple[str, ...]:
+    """The series a colocation cell records, in recording order.
+
+    A cell with a budget cap schedule also records ``effective_cap_w``;
+    a cell with a best-effort app also records its throughput, frequency
+    and duty cycle.
+    """
+    names: Tuple[str, ...] = (
+        "power_w", "lc_load_fraction", "lc_slack", "safe_mode",
+        "lc_cores", "lc_ways",
+    )
+    if has_schedule:
+        names += ("effective_cap_w",)
+    if has_be:
+        names += ("be_throughput_norm", "be_freq_ghz", "be_duty")
+    return names
+
+
+def tick_times(n_ticks: int, interval_s: float) -> np.ndarray:
+    """The times of ticks ``0 .. n_ticks - 1``, ``tick * interval_s`` each."""
+    return np.arange(n_ticks) * interval_s
+
+
+class TickBlock:
+    """Per-tick telemetry of cells sharing one tick grid, lane-major.
+
+    ``columns[name][lane]`` is one cell's series over ``times``.  The
+    times must be non-decreasing: a clock that runs backwards means the
+    *simulation* lost track of time, a runtime state fault, hence
+    :class:`~repro.errors.SimulationError`.
+    """
+
+    __slots__ = ("times", "columns")
+
+    def __init__(self, times: np.ndarray, columns: Dict[str, np.ndarray]) -> None:
+        if (times[1:] < times[:-1]).any():
+            raise SimulationError("telemetry tick times are out of order")
+        self.times = times
+        self.columns = columns
+
+    @classmethod
+    def allocate(
+        cls, times: np.ndarray, names: Tuple[str, ...], lanes: int = 1
+    ) -> "TickBlock":
+        """A zeroed block with one column per name."""
+        shape = (lanes, len(times))
+        return cls(times, {
+            name: np.zeros(shape, dtype=np.int64 if name in _INT_SERIES else float)
+            for name in names
+        })
+
+    def freeze(self) -> None:
+        """Make the block read-only once its run has finished."""
+        self.times.flags.writeable = False
+        for column in self.columns.values():
+            column.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """An append-only (time, value) series with summary statistics."""
+    """A read-only (time, value) view of one lane of one block column."""
 
     name: str
-    times: List[float] = field(default_factory=list)
-    values: List[float] = field(default_factory=list)
-
-    def record(self, time_s: float, value: float) -> None:
-        """Append one observation; times must be non-decreasing.
-
-        Feeding out-of-order times means the *simulation* lost track of
-        its clock — a runtime state fault, hence
-        :class:`~repro.errors.SimulationError` rather than a
-        configuration error.
-        """
-        if self.times and time_s < self.times[-1]:
-            raise SimulationError(
-                f"series {self.name!r} fed out-of-order time {time_s}"
-            )
-        self.times.append(time_s)
-        self.values.append(value)
+    times: np.ndarray
+    values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
 
     @property
     def empty(self) -> bool:
-        """True when nothing has been recorded."""
-        return not self.values
+        """True when the series holds no ticks."""
+        return not len(self.values)
 
     def mean(self) -> float:
-        """Arithmetic mean of recorded values (0.0 when empty)."""
-        return float(np.mean(self.values)) if self.values else 0.0
-
-    def time_weighted_mean(self) -> float:
-        """Mean weighted by holding time (left-continuous steps).
-
-        Falls back to the arithmetic mean when fewer than two points or
-        zero total span.
-        """
-        if len(self.values) < 2:
-            return self.mean()
-        t = np.asarray(self.times)
-        v = np.asarray(self.values)
-        dt = np.diff(t)
-        span = float(t[-1] - t[0])
-        if span <= 0:
-            return self.mean()
-        return float(np.sum(v[:-1] * dt) / span)
+        """Arithmetic mean of the values (0.0 when empty)."""
+        return float(np.mean(self.values)) if len(self.values) else 0.0
 
     def percentile(self, q: float) -> float:
-        """The q-th percentile of recorded values (0.0 when empty)."""
+        """The q-th percentile of the values (0.0 when empty)."""
         if not 0.0 <= q <= 100.0:
             raise ConfigError("percentile must lie in [0, 100]")
-        return float(np.percentile(self.values, q)) if self.values else 0.0
-
-    def maximum(self) -> float:
-        """Largest recorded value (0.0 when empty)."""
-        return float(np.max(self.values)) if self.values else 0.0
+        return float(np.percentile(self.values, q)) if len(self.values) else 0.0
 
     def fraction_above(self, threshold: float) -> float:
         """Fraction of samples strictly above ``threshold``."""
-        if not self.values:
+        if not len(self.values):
             return 0.0
-        return float(np.mean(np.asarray(self.values) > threshold))
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(times, values) as numpy arrays, copied."""
-        return np.asarray(self.times, dtype=float), np.asarray(self.values, dtype=float)
+        return float(np.mean(self.values > threshold))
 
 
 class Telemetry:
-    """A named bundle of :class:`TimeSeries`, created on first use."""
+    """One cell's telemetry: lane ``lane`` of a :class:`TickBlock`.
 
-    def __init__(self) -> None:
-        self._series: Dict[str, TimeSeries] = {}
+    ``names`` are the series this cell recorded, in recording order; it
+    defaults to every column of the block.
+    """
+
+    __slots__ = ("block", "lane", "_names")
+
+    def __init__(
+        self, block: TickBlock, lane: int = 0,
+        names: Optional[Tuple[str, ...]] = None,
+    ) -> None:
+        self.block = block
+        self.lane = lane
+        self._names = tuple(block.columns) if names is None else names
+
+    def record(self, tick: int, **values: float) -> None:
+        """Write this cell's value of each named series at ``tick``."""
+        for name, value in values.items():
+            self.block.columns[name][self.lane, tick] = value
 
     def series(self, name: str) -> TimeSeries:
-        """The series called ``name``, creating it if absent."""
-        if name not in self._series:
-            self._series[name] = TimeSeries(name=name)
-        return self._series[name]
-
-    def attach(self, series: TimeSeries) -> None:
-        """Adopt a fully-built series under its own name.
-
-        Bulk-assembly fast path (the batched engine builds thousands of
-        telemetry bundles per sweep): equivalent to creating the series
-        via :meth:`series` and appending every point, including its
-        position in creation order, but without per-point calls.
-        """
-        self._series[series.name] = series
-
-    def record(self, name: str, time_s: float, value: float) -> None:
-        """Shortcut: append to the series called ``name``."""
-        self.series(name).record(time_s, value)
+        """The series called ``name``; empty if the cell did not record it."""
+        if name not in self._names:
+            return TimeSeries(name, _EMPTY, _EMPTY)
+        return TimeSeries(name, self.block.times, self.block.columns[name][self.lane])
 
     def names(self) -> Tuple[str, ...]:
-        """All series names, in creation order."""
-        return tuple(self._series)
+        """All series names, in recording order."""
+        return self._names
 
     def __contains__(self, name: str) -> bool:
-        return name in self._series
+        return name in self._names
+
+    def __reduce__(self):
+        # Pickle this lane's rows only, as raw bytes: a checkpointed cell
+        # must not carry its whole sweep's block, and bytes pickle several
+        # times faster than small arrays.
+        columns = [self.block.columns[name] for name in self._names]
+        return (_unpickle_lane, (
+            self.block.times, self._names,
+            tuple(column.dtype.str for column in columns),
+            tuple(column[self.lane].tobytes() for column in columns),
+        ))
 
 
-def write_csv(telemetry: Telemetry, path) -> int:
-    """Dump every series of a telemetry bundle to one tidy CSV file.
-
-    Long format — ``series,time_s,value`` — so any plotting tool ingests
-    it directly.  Returns the number of data rows written.  The file is
-    replaced atomically: a crash mid-dump leaves the previous CSV
-    intact, never a torn one.
-    """
-    import csv
-    import io
-
-    from repro.runtime.atomic import atomic_write_text
-
-    buffer = io.StringIO(newline="")
-    writer = csv.writer(buffer)
-    writer.writerow(["series", "time_s", "value"])
-    rows = 0
-    for name in telemetry.names():
-        series = telemetry.series(name)
-        for t, v in zip(series.times, series.values):
-            writer.writerow([name, t, v])
-            rows += 1
-    atomic_write_text(path, buffer.getvalue())
-    return rows
+def _unpickle_lane(
+    times: np.ndarray, names: Tuple[str, ...], dtypes: Tuple[str, ...],
+    rows: Tuple[bytes, ...],
+) -> Telemetry:
+    """A one-lane, read-only :class:`Telemetry` from its pickled rows."""
+    shape = (1, len(times))
+    return Telemetry(TickBlock(times, {
+        name: np.frombuffer(row, dtype=dtype).reshape(shape)
+        for name, dtype, row in zip(names, dtypes, rows)
+    }), 0, names)

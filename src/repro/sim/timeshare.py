@@ -30,7 +30,6 @@ from repro.hwmodel.capping import PowerCapController
 from repro.hwmodel.meter import PowerMeter
 from repro.hwmodel.server import SECONDARY, Server
 from repro.sim.colocation import SimConfig
-from repro.sim.telemetry import Telemetry
 from repro.workloads.traces import LoadTrace
 
 
@@ -130,7 +129,6 @@ class TimeShareResult:
 
     jobs: List[BestEffortJob]
     makespan_s: float
-    telemetry: Telemetry = field(repr=False)
     slo_violation_fraction: float = 0.0
 
     @property
@@ -206,7 +204,6 @@ class TimeSharedColocationSim:
         if max_duration_s <= 0:
             raise ConfigError("duration must be positive")
         cfg = self.config
-        telemetry = Telemetry()
         primary = self.server.primary_tenant()
         if primary is None:
             raise SimulationError(
@@ -237,13 +234,11 @@ class TimeSharedColocationSim:
             lc_alloc = self.server.allocation_of(primary)
             if self.lc_app.slack(load, lc_alloc) < 0:
                 violations += 1
-            telemetry.record("power_w", t, self.server.power_w())
 
             if self._active is not None:
                 be_alloc = self.server.allocation_of(self._active.name)
                 rate = self._active.app.normalized_throughput(be_alloc)
                 self._active.remaining -= rate * cfg.control_interval_s
-                telemetry.record("active_job_rate", t, rate)
                 if self._active.done:
                     self._active.remaining = 0.0
                     self._active.completed_s = t + cfg.control_interval_s
@@ -256,7 +251,6 @@ class TimeSharedColocationSim:
         return TimeShareResult(
             jobs=self.jobs,
             makespan_s=makespan,
-            telemetry=telemetry,
             slo_violation_fraction=violations / max(1, n_ticks),
         )
 

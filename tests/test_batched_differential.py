@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.server_manager import HeraclesLikeManager
@@ -93,11 +94,14 @@ def assert_outcome_equal(a, b, where=""):
     # and every Violation tuple (invariant, time, message, observed,
     # limit) — dataclass == is exact.
     assert ra.guard_report == rb.guard_report, f"{where}: guard_report"
-    sa, sb = ra.telemetry._series, rb.telemetry._series
-    assert list(sa) == list(sb), f"{where}: series names"
-    for name in sa:
-        assert sa[name].times == sb[name].times, f"{where}: {name} times"
-        assert sa[name].values == sb[name].values, f"{where}: {name} values"
+    ta, tb = ra.telemetry, rb.telemetry
+    assert ta.names() == tb.names(), f"{where}: series names"
+    for name in ta.names():
+        sa, sb = ta.series(name), tb.series(name)
+        for part in ("times", "values"):
+            xa, xb = getattr(sa, part), getattr(sb, part)
+            assert xa.dtype == xb.dtype, f"{where}: {name} {part} dtype"
+            assert np.array_equal(xa, xb), f"{where}: {name} {part}"
 
 
 @pytest.fixture(scope="module")

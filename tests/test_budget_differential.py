@@ -123,9 +123,9 @@ class TestBudgetedDifferential:
             config=SimConfig(warmup_s=1.0, seed=0), budget=BUDGET,
         )
         for outcome in result.outcomes:
-            series = outcome.result.telemetry._series
-            assert "effective_cap_w" in series
-            assert all(v > 0.0 for v in series["effective_cap_w"].values)
+            telemetry = outcome.result.telemetry
+            assert "effective_cap_w" in telemetry
+            assert all(v > 0.0 for v in telemetry.series("effective_cap_w").values)
 
     def test_run_policy_budgeted_engines_agree(self, catalog):
         kwargs = dict(levels=(0.4, 0.8), duration_s=6.0,

@@ -223,6 +223,23 @@ class TestDeterminismTaint:
     def test_good_twin_is_clean(self):
         assert package_findings("taint_good", "determinism-taint") == []
 
+    def test_clock_reaching_a_tick_block_fires(self):
+        # The oracle's keyword write into its one-lane tick block is a
+        # telemetry sink like any other record call.
+        found = package_findings("taint_telemetry", "determinism-taint")
+        assert located(found) == [("taint_telemetry/sim.py", 16)]
+        message = found[0].message
+        assert "time.time() (taint_telemetry/meter.py:7)" in message
+        assert "telemetry (telemetry.record)" in message
+
+    def test_simulated_values_into_a_tick_block_are_clean(self):
+        src = (
+            "def run(telemetry, n_ticks, server):\n"
+            "    for tick in range(n_ticks):\n"
+            "        telemetry.record(tick, power_w=server.power_w())\n"
+        )
+        assert lint_source(src, rules=[get_rule("determinism-taint")]) == []
+
     def test_sorted_cleanses_order_taint(self):
         src = (
             "def f(ledger_path):\n"

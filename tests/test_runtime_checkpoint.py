@@ -40,6 +40,7 @@ from repro.faults.schedule import (
 )
 from repro.runtime import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     Checkpoint,
     atomic_write_bytes,
     atomic_write_json,
@@ -155,7 +156,7 @@ class TestCheckpointCodec:
         assert loaded.run_key == "k" * 64
         assert loaded.payload == {"completed": {0: (1.0, 2.0)}, "note": "hi"}
         assert loaded.extra == {"cells_done": 1}
-        assert loaded.version == 1
+        assert loaded.version == CHECKPOINT_VERSION
 
     def test_header_line_is_greppable_json(self, tmp_path):
         path = self._save(tmp_path)
@@ -187,8 +188,16 @@ class TestCheckpointCodec:
             Checkpoint.load(path)
 
     def test_newer_version_refused(self, tmp_path):
-        path = self._save(tmp_path, version=2)
-        with pytest.raises(CheckpointError, match="unsupported version 2"):
+        newer = CHECKPOINT_VERSION + 1
+        path = self._save(tmp_path, version=newer)
+        with pytest.raises(CheckpointError, match=f"unsupported version {newer}"):
+            Checkpoint.load(path)
+
+    def test_older_version_refused(self, tmp_path):
+        # A payload of an older format must never unpickle into today's
+        # classes; the reader refuses before touching the payload.
+        path = self._save(tmp_path, version=CHECKPOINT_VERSION - 1)
+        with pytest.raises(CheckpointError, match="older format.*delete it"):
             Checkpoint.load(path)
 
     def test_non_integer_version_refused(self, tmp_path):
@@ -221,7 +230,7 @@ class TestCheckpointCodec:
     def test_missing_run_key_refused(self, tmp_path):
         payload = pickle.dumps(None)
         header = json.dumps({
-            "magic": CHECKPOINT_MAGIC, "version": 1,
+            "magic": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION,
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
             "payload_bytes": len(payload),
         })
